@@ -1,77 +1,50 @@
-//! The repository benchmark: open-loop serving (`churn`, `deep`) and the
-//! paper's tables under each sweep scheduler (`sweep`), measured from
-//! outside the code under test.
+//! The repository benchmark: serving Le Gall's online deciders as
+//! streaming sessions, open loop, under two traffic mixes (`churn`,
+//! `deep`), measured from outside the code under test.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload churn|deep|sweep --seed N --seconds S --trace 0|1 [--scale full|small]
+//!     --workload churn|deep --seed N --seconds S --trace 0|1 [--scale full|small]
 //! ```
 //!
 //! `--trace 0` prints the end-to-end metrics; `--trace 1` runs the traced
 //! decomposition instead and prints the per-layer metrics plus one
-//! self-time table per workload. The last stdout line is always one JSON
-//! object `{"correct", "attempted", "failed", "metrics"}`. `--scale small`
-//! shrinks every workload for the self-test (`cargo test` in this
-//! package). See `README.md` beside this package for the metric
-//! definitions.
+//! self-time table. Both workloads print the same metric names. The last
+//! stdout line is always one JSON object `{"correct", "attempted",
+//! "failed", "metrics"}`. `--scale small` shrinks every workload for the
+//! self-test (`cargo test` in this package). See `README.md` beside this
+//! package for the metric definitions.
 //!
-//! The same executable also plays two roles the workloads spawn it in:
-//! `serve-child ADDR LIVE_BUDGET` (the server process of the serving
-//! workloads) and `--worker …` (a `ProcessPool` shard worker).
+//! The same executable is also the server process the workloads spawn:
+//! `serve-child ADDR LIVE_BUDGET`.
 
 mod serve;
-mod sweep;
 mod trace;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// The three workloads, why each exists, and the metric names each one
-/// emits. Every run checks what it emitted against these lists, and
-/// `BENCHMARK.json` lists their union.
-pub const WORKLOADS: [Workload; 3] = [
+/// The workloads and why each exists. Every run checks the metrics it
+/// emitted against [`serve::END_TO_END_METRICS`] or
+/// [`serve::LAYER_METRICS`], which `BENCHMARK.json` lists.
+pub const WORKLOADS: [Workload; 2] = [
     Workload {
         name: "churn",
         why: "classical fleet far larger than the live tier, so every FEED \
               pays transport, parsing and a mux suspend/LZ4/resume round trip",
-        end_to_end: &[
-            "setup_s",
-            "p50_us",
-            "p90_us",
-            "flood_tokens_per_s",
-            "peak_rss_mb",
-        ],
-        per_layer: serve::CHURN_LAYER_METRICS,
     },
     Workload {
         name: "deep",
         why: "quantum deciders on all four backends, resident for a whole word, \
               so deciders and kernels dominate and the tier path is idle",
-        end_to_end: &[
-            "setup_s",
-            "p50_us",
-            "p90_us",
-            "flood_tokens_per_s",
-            "peak_rss_mb",
-        ],
-        per_layer: serve::DEEP_LAYER_METRICS,
-    },
-    Workload {
-        name: "sweep",
-        why: "the F1 separation table plus F4 under the in-process, process-pool \
-              and durable schedulers; only the durable path writes the store",
-        end_to_end: &["setup_s", "inproc_s", "pool_s", "durable_s", "store_mb"],
-        per_layer: sweep::SWEEP_LAYER_METRICS,
     },
 ];
 
-/// One workload's identity and metric contract.
+/// One workload's identity.
 pub struct Workload {
     pub name: &'static str,
     pub why: &'static str,
-    pub end_to_end: &'static [&'static str],
-    pub per_layer: &'static [&'static str],
 }
 
 /// Run parameters shared by every workload.
@@ -79,7 +52,7 @@ pub struct Ctx {
     pub seed: u64,
     pub seconds: f64,
     pub small: bool,
-    /// Stores, sockets and span dumps go here (inside the checkout).
+    /// Sockets and span dumps go here (inside the checkout).
     pub scratch: PathBuf,
 }
 
@@ -189,7 +162,7 @@ fn print_host(ctx: &Ctx, workload: &Workload, trace: bool) {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: perfbench --workload churn|deep|sweep --seed N --seconds S --trace 0|1 \
+        "usage: perfbench --workload churn|deep --seed N --seconds S --trace 0|1 \
          [--scale full|small]"
     );
     ExitCode::from(2)
@@ -199,9 +172,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("serve-child") {
         return serve::child_main(&args[1..]);
-    }
-    if args.iter().any(|a| a == "--worker") {
-        return sweep::worker_main(&args);
     }
     let mut workload = None;
     let mut seed = None;
@@ -256,14 +226,12 @@ fn main() -> ExitCode {
         ("churn", true) => serve::churn_traced(&ctx),
         ("deep", false) => serve::deep(&ctx),
         ("deep", true) => serve::deep_traced(&ctx),
-        ("sweep", false) => sweep::run(&ctx),
-        ("sweep", true) => sweep::run_traced(&ctx),
         _ => unreachable!("workload names come from WORKLOADS"),
     };
     let contract = if trace {
-        workload.per_layer
+        serve::LAYER_METRICS
     } else {
-        workload.end_to_end
+        serve::END_TO_END_METRICS
     };
     let emitted: Vec<&str> = report.metrics.iter().map(|m| m.0.as_str()).collect();
     if emitted != contract {

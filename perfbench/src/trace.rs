@@ -62,6 +62,11 @@ impl Tracer {
         out
     }
 
+    /// Spans recorded so far.
+    pub fn span_count(&self) -> usize {
+        self.spans.len()
+    }
+
     /// Per span name: `(count, total ns, self ns)`.
     pub fn summary(&self) -> BTreeMap<&'static str, (u64, f64, f64)> {
         let mut child_ns = vec![0u64; self.spans.len()];
@@ -132,17 +137,6 @@ impl Table {
     /// residual.
     pub fn row(&mut self, layer: impl Into<String>, self_time: f64, how: &'static str) {
         self.rows.push((layer.into(), self_time, how));
-    }
-
-    /// Adds `end_to_end − Σ rows` under `layer`: a layer whose self time
-    /// is known only as the wall time the others leave (batch idle time).
-    pub fn residual(&mut self, layer: &str) {
-        let sum: f64 = self.rows.iter().map(|r| r.1).sum();
-        self.rows.push((
-            layer.to_string(),
-            self.end_to_end - sum,
-            "wall minus the rest",
-        ));
     }
 
     /// Adds `end_to_end − Σ rows` as time no layer accounts for.
