@@ -22,14 +22,12 @@
 //! # session-multiplexing server (Unix socket or TCP), and its driver
 //! experiments --serve ADDR [--workers N] [--live-budget BYTES]
 //!             [--eviction lru|gdsf] [--spill-store PATH]
-//!             [--read-timeout-ms T]
 //! experiments --drive ADDR [--feeds] [--drive-phase 1|2]
 //! experiments --drive-direct       # same fleet, no server — for cmp
 //! experiments --shutdown ADDR
 //!
 //! # consistent-hash router fronting N --serve engines
 //! experiments --route ADDR --engines A1,A2,... [--workers N]
-//!             [--read-timeout-ms T]
 //! ```
 //!
 //! `--workers N` sizes the in-process batch scheduler's worker fleet
@@ -78,15 +76,15 @@
 //!
 //! `--serve ADDR` runs the `oqsc-serve` session-multiplexing engine
 //! behind its line protocol — `ADDR` is a Unix socket path, or
-//! `host:port` for TCP (`--workers N` sizes the connection-handler
-//! pool) — until a client sends `SHUTDOWN`. `--eviction lru|gdsf`
-//! picks the live-tier eviction policy, `--spill-store PATH` attaches a
-//! durable spill tier (mid-stream sessions are flushed there on
-//! shutdown and rehydrated by the next `--serve` on the same path), and
-//! `--read-timeout-ms T` tunes the per-connection read poll. `--drive
-//! ADDR` opens the deterministic 32-session demo fleet over that
-//! address — every decider kind, member and non-member words — and
-//! prints one `OUTCOME` line per session; `--feeds` sends each word as
+//! `host:port` for TCP (`--workers N` caps the connections served at
+//! once; later clients wait until one hangs up) — until a client sends
+//! `SHUTDOWN`. `--eviction lru|gdsf` picks the live-tier eviction
+//! policy, and `--spill-store PATH` attaches a durable spill tier
+//! (mid-stream sessions are flushed there on shutdown and rehydrated by
+//! the next `--serve` on the same path). `--drive ADDR` opens the
+//! deterministic 32-session demo fleet over that address — every
+//! decider kind, member and non-member words — and prints one
+//! `OUTCOME` line per session; `--feeds` sends each word as
 //! one pipelined batched `FEEDS` line instead of chunked `FEED`s, and
 //! `--drive-phase 1|2` splits the drive across two invocations (phase 1
 //! feeds the first half of every word and stops without finishing;
@@ -98,7 +96,10 @@
 //! runs the consistent-hash router: it speaks the same line protocol on
 //! `ADDR` and forwards each session's verbs to the engine its id hashes
 //! to, so `--drive` against the router is byte-identical to a single
-//! direct engine.
+//! direct engine (`--workers N` caps its connections the same way).
+//! Server, router and fabric coordinator share one line service: a
+//! thread per connection, request lines capped at 64 KiB, and a fixed
+//! 50 ms read poll, so an idle connection notices `SHUTDOWN` promptly.
 //!
 //! Out-of-range values are rejected up front with a clear message,
 //! never silently clamped or panicked on.
@@ -147,10 +148,6 @@ const MAX_LEASE_SIZE: usize = 1 << 20;
 /// Default fabric lease TTL in milliseconds.
 const DEFAULT_LEASE_TTL_MS: u64 = 10_000;
 
-/// Upper bound on `--read-timeout-ms`: a poll longer than a minute just
-/// delays shutdown without helping any real client.
-const MAX_READ_TIMEOUT_MS: u64 = 60_000;
-
 struct Cli {
     runner: BatchRunner,
     schedule: SessionSchedule,
@@ -176,7 +173,6 @@ struct Cli {
     live_budget: Option<usize>,
     eviction: Option<EvictionPolicy>,
     spill_store: Option<std::path::PathBuf>,
-    read_timeout_ms: Option<u64>,
     route: Option<String>,
     engines: Option<Vec<String>>,
     drive: Option<String>,
@@ -202,9 +198,8 @@ fn usage_and_exit(code: i32) -> ! {
     println!("       experiments --store-stats PREFIX [--break-locks]");
     println!("       experiments --bench-json PATH [--bench-reduced]");
     println!("       experiments --serve ADDR [--workers N] [--live-budget BYTES]");
-    println!("                   [--eviction lru|gdsf] [--spill-store PATH] [--read-timeout-ms T]");
+    println!("                   [--eviction lru|gdsf] [--spill-store PATH]");
     println!("       experiments --route ADDR --engines A1,A2,... [--workers N]");
-    println!("                   [--read-timeout-ms T]");
     println!("       experiments --drive ADDR [--feeds] [--drive-phase 1|2]");
     println!("       experiments --drive-direct | --shutdown ADDR");
     println!("       experiments --sweep NAME --fabric-coordinate ADDR [--store PATH [--resume]]");
@@ -240,8 +235,8 @@ fn usage_and_exit(code: i32) -> ! {
     println!("                         auto dispatch) and write the JSON record to PATH");
     println!("  --bench-reduced        with --bench-json: shrink sizes for a CI smoke run");
     println!("  --serve ADDR           run the session-multiplexing server on a Unix socket");
-    println!("                         path or host:port (--workers N sizes its");
-    println!("                         connection-handler pool)");
+    println!("                         path or host:port (--workers N caps the");
+    println!("                         connections it serves at once)");
     println!("  --live-budget BYTES    with --serve: hot-tier byte budget for live sessions");
     println!("                         (default 64 MiB; 0 = suspend after every feed)");
     println!("  --eviction lru|gdsf    with --serve: live-tier eviction policy");
@@ -252,8 +247,6 @@ fn usage_and_exit(code: i32) -> ! {
     println!("  --spill-store PATH     with --serve: durable spill tier; mid-stream sessions");
     println!("                         are flushed there on SHUTDOWN and rehydrated by the");
     println!("                         next --serve on the same path");
-    println!("  --read-timeout-ms T    with --serve/--route: per-connection read poll,");
-    println!("                         1..={MAX_READ_TIMEOUT_MS} (default 50)");
     println!("  --route ADDR           run the consistent-hash router on ADDR, fronting the");
     println!("                         --engines fleet behind the same line protocol");
     println!("  --engines A1,A2,...    with --route: the backend engine addresses");
@@ -330,7 +323,6 @@ fn parse_cli() -> Cli {
         live_budget: None,
         eviction: None,
         spill_store: None,
-        read_timeout_ms: None,
         route: None,
         engines: None,
         drive: None,
@@ -454,14 +446,6 @@ fn parse_cli() -> Cli {
                 Some(p) if !p.is_empty() => cli.spill_store = Some(p.into()),
                 raw => bad_value("--spill-store", raw, "a checkpoint-store path"),
             },
-            "--read-timeout-ms" => {
-                cli.read_timeout_ms = Some(parse_num(
-                    &mut args,
-                    "--read-timeout-ms",
-                    &format!("an integer between 1 and {MAX_READ_TIMEOUT_MS}"),
-                    |n: &u64| (1..=MAX_READ_TIMEOUT_MS).contains(n),
-                ));
-            }
             "--route" => match args.next() {
                 Some(a) if !a.is_empty() => cli.route = Some(a),
                 raw => bad_value("--route", raw, "a Unix socket path or host:port"),
@@ -602,10 +586,6 @@ fn parse_cli() -> Cli {
             std::process::exit(2);
         }
     }
-    if cli.read_timeout_ms.is_some() && cli.serve.is_none() && cli.route.is_none() {
-        eprintln!("error: --read-timeout-ms requires --serve or --route");
-        std::process::exit(2);
-    }
     if cli.route.is_some() != cli.engines.is_some() {
         eprintln!("error: --route and --engines go together (a router needs its fleet)");
         std::process::exit(2);
@@ -621,7 +601,7 @@ fn parse_cli() -> Cli {
     }
     // The serve-family modes stand alone too: the server, the router,
     // the two drivers and shutdown each do exactly one thing, and only
-    // --serve/--route take --workers (their connection-handler pools).
+    // --serve/--route take --workers (their connection caps).
     let serve_modes = [
         (cli.serve.is_some(), "--serve"),
         (cli.route.is_some(), "--route"),
@@ -1131,9 +1111,6 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
     if let Some(policy) = cli.eviction {
         config.mux.eviction = policy;
     }
-    if let Some(ms) = cli.read_timeout_ms {
-        config.read_timeout = std::time::Duration::from_millis(ms);
-    }
     config.spill_store = cli.spill_store.clone();
     let threads = config.threads;
     let eviction = config.mux.eviction;
@@ -1167,9 +1144,6 @@ fn run_route(addr: &str, engines: Vec<String>, cli: &Cli) -> i32 {
     let mut config = RouterConfig::default();
     if let Some(w) = cli.workers {
         config.threads = w;
-    }
-    if let Some(ms) = cli.read_timeout_ms {
-        config.read_timeout = std::time::Duration::from_millis(ms);
     }
     let fleet = engines.join(", ");
     let router = match Router::bind(addr, engines, config) {

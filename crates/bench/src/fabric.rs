@@ -7,10 +7,12 @@
 //! [`CheckpointStore`] of finished outcomes, and serves the line
 //! protocol of [`oqsc_serve::protocol`] (the worker pool's `OUTCOME`
 //! lines plus `LEASE`/`RENEW`/`HEARTBEAT`/`DONE`) over a Unix or TCP
-//! socket. [`fabric_work`] is the worker loop: lease a contiguous
-//! instance range, re-derive the instances from the spec (nothing but
-//! indices crosses the wire, exactly like process-pool workers), report
-//! one `OUTCOME` line each, retire the lease with `DONE`.
+//! socket through the serving tier's own line service
+//! ([`serve_lines`]). [`fabric_work`] is the worker loop: lease a
+//! contiguous instance range, re-derive the instances from the spec
+//! (nothing but indices crosses the wire, exactly like process-pool
+//! workers), report one `OUTCOME` line each, retire the lease with
+//! `DONE`.
 //!
 //! Fault tolerance is lease-based: every lease carries a TTL, renewed by
 //! explicit `RENEW`s and by a per-worker `HEARTBEAT` side connection. A
@@ -30,13 +32,11 @@
 
 use crate::pool::{fleet_outcomes, OutcomeLedger, PoolError, SweepRows, SweepSpec};
 use oqsc_machine::{CheckpointStore, RunOutcome};
-use oqsc_serve::transport::{Listener, Stream};
 use oqsc_serve::{
     fabric_request_line, fabric_response_line, parse_fabric_request, parse_fabric_response,
-    FabricRequest, FabricResponse,
+    serve_lines, FabricRequest, FabricResponse, LineClient, Listener, OnStop,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -387,60 +387,22 @@ fn lock_state<'a>(state: &'a Mutex<FabricState>) -> std::sync::MutexGuard<'a, Fa
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Serves one worker connection: request line in, response line out,
-/// until the peer hangs up. Reads poll on a short timeout and preserve
-/// partial lines across timeouts (the serve front end's slow-client
-/// fix), so a worker trickling bytes never gets a corrupted request.
-fn handle_fabric_connection(stream: Stream, state: &Mutex<FabricState>, done: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+/// Answers one worker request line. The sweep's completion sets `done`,
+/// which stops the coordinator accepting.
+fn respond(state: &Mutex<FabricState>, line: &str, done: &AtomicBool) -> String {
+    let request = match parse_fabric_request(line) {
+        Ok(request) => request,
+        Err(msg) => return format!("ERR {msg}"),
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // worker hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Partial request bytes stay in `line` for the next
-                // poll. Workers always disconnect after FINISHED, so the
-                // connection drains itself; no forced close.
-                continue;
-            }
-            Err(_) => return,
-        }
-        let request = line.trim().to_string();
-        line.clear();
-        if request.is_empty() {
-            continue;
-        }
-        let response = match parse_fabric_request(&request) {
-            Err(msg) => format!("ERR {msg}"),
-            Ok(req) => {
-                let mut st = lock_state(state);
-                let answer = match st.handle(&req, Instant::now()) {
-                    Ok(resp) => fabric_response_line(&resp),
-                    Err(msg) => format!("ERR {msg}"),
-                };
-                if st.is_complete() {
-                    done.store(true, Ordering::SeqCst);
-                }
-                answer
-            }
-        };
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
+    let mut st = lock_state(state);
+    let answer = match st.handle(&request, Instant::now()) {
+        Ok(resp) => fabric_response_line(&resp),
+        Err(msg) => format!("ERR {msg}"),
+    };
+    if st.is_complete() {
+        done.store(true, Ordering::SeqCst);
     }
+    answer
 }
 
 /// A bound, not-yet-running coordinator. Binding is separate from
@@ -477,30 +439,15 @@ impl Coordinator {
     /// (a resumed, finished run) returns immediately without serving.
     pub fn run(self) -> Result<SweepRows, PoolError> {
         let Coordinator { listener, state } = self;
-        listener.set_nonblocking(true)?;
         let done = AtomicBool::new(state.is_complete());
         let state = Mutex::new(state);
-        std::thread::scope(|scope| {
-            while !done.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok(stream) => {
-                        let state = &state;
-                        let done = &done;
-                        scope.spawn(move || handle_fabric_connection(stream, state, done));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            // The scope joins the open connections: each drains at its
-            // worker's disconnect (every worker ends on FINISHED or an
-            // abandoned lease, then hangs up).
-        });
-        if let Some(path) = listener.unix_path() {
-            let _ = std::fs::remove_file(path);
-        }
+        let (state_ref, done_ref) = (&state, &done);
+        // Uncapped, and draining: a completed sweep stops accepting,
+        // while each open connection lasts until its worker hangs up
+        // (every worker ends on FINISHED or an abandoned lease).
+        serve_lines(listener, usize::MAX, &done, OnStop::Drain, || {
+            move |line: &str| respond(state_ref, line, done_ref)
+        })?;
         state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -557,53 +504,34 @@ pub struct FabricWorkReport {
     pub expired: u64,
 }
 
-/// One line-protocol client connection: request out, response in.
-struct LineClient {
-    writer: Stream,
-    reader: BufReader<Stream>,
+/// Sends one fabric request and parses the coordinator's answer; an
+/// `ERR` line becomes a protocol error.
+fn ask(client: &mut LineClient, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
+    let line = client.ask(&fabric_request_line(request))?;
+    if let Some(msg) = line.strip_prefix("ERR ") {
+        return Err(PoolError::Protocol(format!("coordinator refused: {msg}")));
+    }
+    parse_fabric_response(&line).map_err(PoolError::Protocol)
 }
 
-impl LineClient {
-    fn connect(addr: &str) -> std::io::Result<LineClient> {
-        let writer = Stream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(LineClient { writer, reader })
-    }
-
-    fn ask(&mut self, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
-        self.writer
-            .write_all(format!("{}\n", fabric_request_line(request)).as_bytes())?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(PoolError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "coordinator hung up mid-exchange",
-            )));
-        }
-        let line = line.trim();
-        if let Some(msg) = line.strip_prefix("ERR ") {
-            return Err(PoolError::Protocol(format!("coordinator refused: {msg}")));
-        }
-        parse_fabric_response(line).map_err(PoolError::Protocol)
-    }
-
-    fn report_outcome(
-        &mut self,
-        fleet: &str,
-        index: u64,
-        outcome: RunOutcome,
-    ) -> Result<(), PoolError> {
-        match self.ask(&FabricRequest::Outcome {
+fn report_outcome(
+    client: &mut LineClient,
+    fleet: &str,
+    index: u64,
+    outcome: RunOutcome,
+) -> Result<(), PoolError> {
+    match ask(
+        client,
+        &FabricRequest::Outcome {
             fleet: fleet.to_string(),
             index,
             outcome,
-        })? {
-            FabricResponse::Ok { .. } => Ok(()),
-            other => Err(PoolError::Protocol(format!(
-                "unexpected response to OUTCOME: {other:?}"
-            ))),
-        }
+        },
+    )? {
+        FabricResponse::Ok { .. } => Ok(()),
+        other => Err(PoolError::Protocol(format!(
+            "unexpected response to OUTCOME: {other:?}"
+        ))),
     }
 }
 
@@ -627,9 +555,9 @@ fn run_lease(
             for &idx in &range {
                 let outcomes = fleet_outcomes(spec, fleet, &[idx], 1)?;
                 std::thread::sleep(pause);
-                client.report_outcome(fleet, idx as u64, outcomes[0])?;
+                report_outcome(client, fleet, idx as u64, outcomes[0])?;
                 report.instances += 1;
-                match client.ask(&FabricRequest::Renew { lease })? {
+                match ask(client, &FabricRequest::Renew { lease })? {
                     FabricResponse::Ok { .. } => {}
                     FabricResponse::Expired { .. } => {
                         report.expired += 1;
@@ -646,12 +574,12 @@ fn run_lease(
         None => {
             let outcomes = fleet_outcomes(spec, fleet, &range, config.threads)?;
             for (&idx, outcome) in range.iter().zip(&outcomes) {
-                client.report_outcome(fleet, idx as u64, *outcome)?;
+                report_outcome(client, fleet, idx as u64, *outcome)?;
                 report.instances += 1;
             }
         }
     }
-    match client.ask(&FabricRequest::Done { lease })? {
+    match ask(client, &FabricRequest::Done { lease })? {
         // EXPIRED here means another worker's DONE retired the chunk
         // first — the work still landed (as idempotent duplicates).
         FabricResponse::Ok { .. } | FabricResponse::Expired { .. } => Ok(()),
@@ -670,7 +598,7 @@ fn heartbeat_loop(addr: &str, worker: u64, every: Duration, stop: &AtomicBool) {
         return;
     };
     while !stop.load(Ordering::SeqCst) {
-        if client.ask(&FabricRequest::Heartbeat { worker }).is_err() {
+        if ask(&mut client, &FabricRequest::Heartbeat { worker }).is_err() {
             return;
         }
         // Sleep in small steps so worker exit is not delayed by a
@@ -705,7 +633,7 @@ pub fn fabric_work(
             trials: spec.trials().unwrap_or(0) as u64,
         };
         let run = loop {
-            match client.ask(&lease_request) {
+            match ask(&mut client, &lease_request) {
                 Ok(FabricResponse::Finished) => break Ok(()),
                 Ok(FabricResponse::Wait { millis }) => {
                     std::thread::sleep(Duration::from_millis(millis.min(1000)))

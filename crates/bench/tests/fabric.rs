@@ -6,6 +6,8 @@
 //! * the same holds over **TCP** even when a client leases a range and
 //!   vanishes without reporting: the lease lapses and the range is
 //!   re-leased to a live worker;
+//! * a hostile line — not UTF-8, or longer than the line cap — earns the
+//!   coordinator's `ERR` and leaves the connection usable;
 //! * the lease state machine itself ([`FabricState::handle`]) is pinned
 //!   sockets-free — grant coverage, steal policy, TTL expiry, premature
 //!   `DONE` rejection, sweep-identity checks, and store-backed resume.
@@ -18,7 +20,7 @@ use oqsc_bench::{
     SweepSpec, WorkerConfig,
 };
 use oqsc_machine::{BatchRunner, SessionSchedule};
-use oqsc_serve::{FabricRequest, FabricResponse};
+use oqsc_serve::{FabricRequest, FabricResponse, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -216,6 +218,62 @@ fn f1_fabric_survives_a_mid_lease_death() {
     assert!(grant_line.starts_with("LEASE "), "got: {grant_line}");
     assert!(report.instances > 0, "{report:?}");
     assert_eq!(rows, reference, "f1 rows differ after a mid-lease death");
+}
+
+#[test]
+fn coordinator_answers_hostile_lines_and_keeps_the_connection() {
+    let spec = spec_e6(3);
+    let reference = reference_rows(spec);
+    let coordinator =
+        Coordinator::bind("127.0.0.1:0", spec, FabricConfig::default()).expect("bind coordinator");
+    let addr = coordinator.local_addr();
+
+    // Nothing inside the scope may panic: the coordinator only returns
+    // once a worker has finished the sweep.
+    let (answers, rows) = std::thread::scope(|scope| {
+        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+        let answers = {
+            let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut overlong = vec![b'x'; MAX_LINE_BYTES + 100];
+            overlong.push(b'\n');
+            let requests: [&[u8]; 3] = [b"HEARTBEAT \xff\xfe\n", &overlong, b"HEARTBEAT 1\n"];
+            requests.map(|request| {
+                let mut line = String::new();
+                match stream
+                    .write_all(request)
+                    .and_then(|()| reader.read_line(&mut line))
+                {
+                    Ok(_) => line.trim().to_string(),
+                    Err(e) => format!("<{e}>"),
+                }
+            })
+            // Hang up, so the draining coordinator can return.
+        };
+        fabric_work(
+            &addr,
+            spec,
+            &WorkerConfig {
+                worker_id: 2,
+                heartbeat_every: Duration::from_millis(100),
+                ..WorkerConfig::default()
+            },
+        )
+        .expect("worker");
+        (answers, coord.join().expect("coordinator thread"))
+    });
+    assert!(
+        answers[0].starts_with("ERR request is not valid UTF-8"),
+        "non-UTF-8 line got: {:?}",
+        answers[0]
+    );
+    assert!(
+        answers[1].starts_with("ERR line too long"),
+        "overlong line got: {:?}",
+        answers[1]
+    );
+    assert_eq!(answers[2], "OK 1", "the same connection still answers");
+    assert_eq!(rows, reference);
 }
 
 /// Drives a [`FabricState`] to completion by replaying granted ranges

@@ -19,8 +19,9 @@
 //!
 //! The front end is a line protocol
 //! (`OPEN`/`FEED`/`FEEDS`/`FINISH`/`STATS`, [`protocol`]) over a Unix
-//! socket *or* TCP ([`transport`]) served by a std-only thread pool
-//! ([`Server`]). [`Router`] scales the same protocol out: it
+//! socket *or* TCP ([`transport`]), where one line service,
+//! [`serve_lines`], runs the server ([`Server`]), the router and the
+//! sweep fabric's coordinator. [`Router`] scales the protocol out: it
 //! consistent-hashes session ids across N backend engines with
 //! byte-identical per-session transcripts (DESIGN.md §14).
 //! `experiments --serve/--route/--drive` and the CI smokes drive both
@@ -49,5 +50,5 @@ pub use protocol::{
     parse_request, parse_stats_line, stats_line, FabricRequest, FabricResponse, Request,
 };
 pub use route::{route_index, Router, RouterConfig};
-pub use server::{bind_unix_socket, Server, ServerConfig};
-pub use transport::{LineClient, Listener, Stream, MAX_LINE_BYTES};
+pub use server::{Server, ServerConfig};
+pub use transport::{bind_unix_socket, serve_lines, LineClient, Listener, OnStop, MAX_LINE_BYTES};

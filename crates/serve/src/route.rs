@@ -17,15 +17,13 @@
 //! Ordering: one client connection holds one connection per backend
 //! engine, so a session's requests arrive at its engine in the order
 //! the client sent them — the same contract a direct connection gives.
+//! Those backend links are the only per-connection state; the
+//! connection handling itself is [`serve_lines`], as for the server.
 
 use crate::mux::{mix64, MuxStats};
 use crate::protocol::{parse_request, parse_stats_line, stats_line, Request};
-use crate::transport::{
-    discard_line, read_line_bounded, LineClient, LineStatus, Listener, Stream, MAX_LINE_BYTES,
-};
-use std::io::{BufReader, Write};
+use crate::transport::{serve_lines, LineClient, Listener, OnStop};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 /// The engine index owning session `id` in a fleet of `engines`
 /// backends — rendezvous hashing over the engine's SplitMix64 finalizer.
@@ -38,22 +36,17 @@ pub fn route_index(id: u64, engines: usize) -> usize {
         .expect("non-empty range")
 }
 
-/// Router sizing: connection-handling threads and the read-poll cadence
-/// (same semantics as the server's).
+/// Router sizing: the connection cap (same semantics as the server's).
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Connection-handling threads.
+    /// Client connections served at once; later clients wait in the
+    /// listen backlog until one hangs up.
     pub threads: usize,
-    /// Per-read timeout on client connections.
-    pub read_timeout: Duration,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            threads: 4,
-            read_timeout: Duration::from_millis(50),
-        }
+        RouterConfig { threads: 4 }
     }
 }
 
@@ -76,7 +69,6 @@ impl Router {
             ));
         }
         let listener = Listener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Router {
             listener,
             engines,
@@ -94,31 +86,17 @@ impl Router {
     /// engine before the router itself drains. A Unix socket file is
     /// removed on return.
     pub fn run(self) -> std::io::Result<()> {
+        let Router {
+            listener,
+            engines,
+            config,
+        } = self;
         let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.threads.max(1) {
-                scope.spawn(|| {
-                    while !done.load(Ordering::SeqCst) {
-                        match self.listener.accept() {
-                            Ok(stream) => handle_route_connection(
-                                stream,
-                                &self.engines,
-                                &done,
-                                self.config.read_timeout,
-                            ),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(path) = self.listener.unix_path() {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(())
+        let (engines, done_ref) = (&engines, &done);
+        serve_lines(listener, config.threads, &done, OnStop::Close, || {
+            let mut backends = Backends::new(engines);
+            move |line: &str| route_one(line, &mut backends, done_ref)
+        })
     }
 }
 
@@ -151,80 +129,6 @@ impl<'a> Backends<'a> {
                 self.links[index] = None;
                 Err(e)
             }
-        }
-    }
-}
-
-/// Serves one client connection, forwarding per-id verbs to their
-/// engines and fanning out the fleet-wide ones.
-fn handle_route_connection(
-    stream: Stream,
-    engines: &[String],
-    done: &AtomicBool,
-    read_timeout: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut backends = Backends::new(engines);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let status = match read_line_bounded(&mut reader, &mut buf) {
-            Ok(status) => status,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let response = match status {
-            LineStatus::Closed => return,
-            LineStatus::Overflow => {
-                loop {
-                    match discard_line(&mut reader) {
-                        Ok(true) => break,
-                        Ok(false) => return,
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                }
-                buf.clear();
-                format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
-            }
-            LineStatus::Line => {
-                let text = std::str::from_utf8(&buf).map(|s| s.trim().to_string());
-                buf.clear();
-                match text {
-                    Ok(request) if request.is_empty() => continue,
-                    Ok(request) => route_one(&request, &mut backends, done),
-                    Err(_) => "ERR request is not valid UTF-8".to_string(),
-                }
-            }
-        };
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-        if done.load(Ordering::SeqCst) {
-            return;
         }
     }
 }

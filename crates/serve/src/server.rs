@@ -1,19 +1,16 @@
-//! The serving front end: a std-only thread pool accepting connections
-//! on a Unix socket *or* a TCP port and speaking the line protocol
-//! against one shared [`MuxEngine`].
+//! The serving front end: one [`MuxEngine`] behind the line protocol,
+//! on a Unix socket *or* a TCP port.
 //!
-//! The listener runs non-blocking; every accept thread polls
-//! accept-or-sleep and checks a shared shutdown flag, so a single
-//! `SHUTDOWN` request (from any connection) drains the whole pool
-//! without signals or self-connects. Per-session ordering is the
-//! client's contract — the engine serializes operations on one id
-//! through its shard lock, and a client that wants a session's tokens
-//! in stream order must send them in order on one connection.
-//!
-//! Request lines are read through the bounded machinery in
-//! [`crate::transport`]: an overlong line or a non-UTF8 one costs the
-//! server one `ERR` response and a bounded resync, never a panic, a
-//! dropped connection, or an unbounded allocation.
+//! The connection handling is [`serve_lines`]: a thread per connection,
+//! at most [`ServerConfig::threads`] at once, bounded request reads
+//! (an overlong or non-UTF-8 line costs one `ERR`, never a dropped
+//! connection or an unbounded allocation). This module only maps a
+//! request line to its response. A single `SHUTDOWN` request (from any
+//! connection) stops the accept loop and closes every connection at its
+//! next read poll, without signals or self-connects. Per-session
+//! ordering is the client's contract — the engine serializes operations
+//! on one id through its shard lock, and a client that wants a session's
+//! tokens in stream order must send them in order on one connection.
 //!
 //! With a spill store attached, a graceful `SHUTDOWN` flushes every
 //! live and warm session into the store, so a server restarted on the
@@ -22,32 +19,19 @@
 use crate::catalog::AnyDecider;
 use crate::mux::{MuxConfig, MuxEngine, MuxStats};
 use crate::protocol::{outcome_line, parse_request, stats_line, Request};
-use crate::transport::{
-    discard_line, read_line_bounded, LineStatus, Listener, Stream, MAX_LINE_BYTES,
-};
+use crate::transport::{serve_lines, Listener, OnStop};
 use oqsc_machine::CheckpointStore;
-use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
-// Re-exported from its original home so existing `crate::server`
-// importers keep working; the implementation lives with its users in
-// the transport module now.
-pub use crate::transport::bind_unix_socket;
-
-/// Server sizing: protocol threads, the engine's tier budgets, and the
-/// handler pool's read-poll cadence.
+/// Server sizing: the connection cap and the engine's tier budgets.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Connection-handling threads (each owns the accept loop in turn).
+    /// Connections served at once; later clients wait in the listen
+    /// backlog until one hangs up.
     pub threads: usize,
     /// The multiplexing engine's budgets.
     pub mux: MuxConfig,
-    /// Per-read timeout on handler connections. Blocked reads wake at
-    /// this cadence to notice the shutdown flag; partial request lines
-    /// survive the timeout, so slow writers are never truncated.
-    pub read_timeout: Duration,
     /// Checkpoint store path for the spill tier. Opened if it exists
     /// (recovering a torn tail), created otherwise; on graceful
     /// shutdown every resident session is flushed into it.
@@ -59,7 +43,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 4,
             mux: MuxConfig::default(),
-            read_timeout: Duration::from_millis(50),
             spill_store: None,
         }
     }
@@ -75,10 +58,10 @@ pub struct Server {
 impl Server {
     /// Binds `addr` — `host:port` for TCP, a filesystem path for a Unix
     /// socket. Unix paths get the stale-vs-live discipline of
-    /// [`bind_unix_socket`]; a path a live server answers on is refused.
+    /// [`bind_unix_socket`](crate::bind_unix_socket); a path a live
+    /// server answers on is refused.
     pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         let listener = Listener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server { listener, config })
     }
 
@@ -89,9 +72,8 @@ impl Server {
     }
 
     /// Serves until a `SHUTDOWN` request, then returns the engine's
-    /// final statistics. With a spill store attached, resident sessions
-    /// are flushed into it before returning; a Unix socket file is
-    /// removed on return.
+    /// final statistics. A Unix socket file is removed on return; with a
+    /// spill store attached, resident sessions are flushed into it.
     pub fn run(self) -> std::io::Result<MuxStats> {
         let engine = match &self.config.spill_store {
             Some(path) => {
@@ -106,113 +88,18 @@ impl Server {
             None => MuxEngine::<AnyDecider>::new(self.config.mux),
         };
         let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..self.config.threads.max(1) {
-                scope.spawn(|| {
-                    while !done.load(Ordering::SeqCst) {
-                        match self.listener.accept() {
-                            Ok(stream) => {
-                                handle_connection(stream, &engine, &done, self.config.read_timeout)
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-        });
+        let (engine_ref, done_ref) = (&engine, &done);
+        serve_lines(
+            self.listener,
+            self.config.threads,
+            &done,
+            OnStop::Close,
+            || move |line: &str| respond(engine_ref, line, done_ref),
+        )?;
         engine
             .flush_to_spill()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
-        if let Some(path) = self.listener.unix_path() {
-            let _ = std::fs::remove_file(path);
-        }
         Ok(engine.stats())
-    }
-}
-
-/// Serves one connection: request line in, response line out, until EOF
-/// or a shutdown from anywhere. Hostile input — overlong lines, invalid
-/// UTF-8 — earns an `ERR` and leaves the connection usable.
-fn handle_connection(
-    stream: Stream,
-    engine: &MuxEngine<AnyDecider>,
-    done: &AtomicBool,
-    read_timeout: Duration,
-) {
-    // Line reads must be able to notice the shutdown flag; a short read
-    // timeout turns blocked reads into polls.
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let status = match read_line_bounded(&mut reader, &mut buf) {
-            Ok(status) => status,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A timed-out read may already have buffered a request
-                // prefix in `buf`; keep it for the next poll — a client
-                // writing one byte per interval must never see its
-                // request truncated at a timeout boundary.
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let response = match status {
-            LineStatus::Closed => return, // client hung up (an unterminated partial dies with it)
-            LineStatus::Overflow => {
-                // Swallow the rest of the oversized line in bounded
-                // chunks (re-polling through timeouts), then answer
-                // once the connection is back in sync.
-                loop {
-                    match discard_line(&mut reader) {
-                        Ok(true) => break,
-                        Ok(false) => return, // EOF mid-overflow
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                }
-                buf.clear();
-                format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
-            }
-            LineStatus::Line => {
-                let text = std::str::from_utf8(&buf).map(|s| s.trim().to_string());
-                buf.clear();
-                match text {
-                    Ok(request) if request.is_empty() => continue,
-                    Ok(request) => respond(engine, &request, done),
-                    Err(_) => "ERR request is not valid UTF-8".to_string(),
-                }
-            }
-        };
-        if writer
-            .write_all(format!("{response}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            return;
-        }
-        if done.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 

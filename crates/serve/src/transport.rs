@@ -1,27 +1,45 @@
-//! Either-transport plumbing shared by every line-protocol endpoint:
-//! Unix domain sockets and TCP behind one listener/stream pair, plus
-//! bounded request-line reads.
+//! The one line service behind every line-protocol endpoint — the
+//! server, the router and the distributed sweep fabric's coordinator —
+//! plus its client. Unix domain sockets and TCP sit behind one
+//! listener/stream pair.
 //!
 //! Addresses containing `:` are TCP `host:port`; everything else is a
 //! Unix socket path. That one rule is shared by the serving tier, the
 //! router and the distributed sweep fabric, so `--serve`, `--drive`,
 //! `--route` and `--fabric-*` all accept either form interchangeably.
 //!
-//! The line reader is deliberately hostile-input-proof: a request line
-//! is read through a hard [`MAX_LINE_BYTES`] cap, so a client streaming
-//! gigabytes without a newline costs the server one bounded buffer and
-//! one `ERR` response, never an unbounded allocation.
+//! [`serve_lines`] owns the accept loop and the connection loop; an
+//! endpoint supplies only a request → response handler. The line reader
+//! is deliberately hostile-input-proof: a request line is read through
+//! a hard [`MAX_LINE_BYTES`] cap, so a client streaming gigabytes
+//! without a newline costs the server one bounded buffer and one `ERR`
+//! response, never an unbounded allocation.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Longest accepted request line in bytes, newline included. Generous —
 /// a maximal `FEEDS` line is a few KiB — but a hard wall against
 /// hostile clients.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// How often a blocked connection read wakes to check the stop flag.
+const READ_POLL: Duration = Duration::from_millis(50);
+
+/// The accept loop's first pause when no connection is waiting, or
+/// after a transient accept error (EMFILE, ECONNABORTED). Every
+/// accepted connection resets the pause to this, so a client that
+/// dials just after the loop starts, or just after another client, is
+/// accepted within a fraction of a millisecond.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(100);
+
+/// Each miss in a row doubles the pause, up to this: an idle listener
+/// wakes 200 times a second.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(5);
 
 /// `host:port` (TCP) vs socket path (Unix): addresses with a `:` dial
 /// TCP, everything else names a filesystem socket.
@@ -36,8 +54,7 @@ pub fn is_tcp_addr(addr: &str) -> bool {
 /// clobbering it out from under its clients, and a path that is not a
 /// socket at all (a regular file, a directory) is never removed.
 ///
-/// Shared by [`Server`](crate::Server), the [`Router`](crate::Router)
-/// and the distributed sweep fabric's coordinator listener, so every
+/// [`Listener::bind`] uses it for every Unix address, so every
 /// line-protocol endpoint in the workspace gets the same stale-vs-live
 /// discipline.
 pub fn bind_unix_socket(path: &Path) -> std::io::Result<UnixListener> {
@@ -69,8 +86,8 @@ pub fn bind_unix_socket(path: &Path) -> std::io::Result<UnixListener> {
 
 /// A listening endpoint on either transport.
 pub enum Listener {
-    /// A Unix socket listener plus the path it owns (removed by the
-    /// server on shutdown).
+    /// A Unix socket listener plus the path it owns (removed when
+    /// [`serve_lines`] returns).
     Unix(UnixListener, PathBuf),
     /// A TCP listener.
     Tcp(TcpListener),
@@ -89,16 +106,14 @@ impl Listener {
         }
     }
 
-    /// Toggles non-blocking accepts.
-    pub fn set_nonblocking(&self, yes: bool) -> std::io::Result<()> {
+    fn set_nonblocking(&self) -> std::io::Result<()> {
         match self {
-            Listener::Unix(l, _) => l.set_nonblocking(yes),
-            Listener::Tcp(l) => l.set_nonblocking(yes),
+            Listener::Unix(l, _) => l.set_nonblocking(true),
+            Listener::Tcp(l) => l.set_nonblocking(true),
         }
     }
 
-    /// Accepts one connection.
-    pub fn accept(&self) -> std::io::Result<Stream> {
+    fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
@@ -117,27 +132,17 @@ impl Listener {
                 .unwrap_or_else(|_| "<tcp>".to_string()),
         }
     }
-
-    /// The socket file this listener owns, if it is a Unix listener.
-    pub fn unix_path(&self) -> Option<&Path> {
-        match self {
-            Listener::Unix(_, path) => Some(path),
-            Listener::Tcp(_) => None,
-        }
-    }
 }
 
 /// One connection on either transport.
-pub enum Stream {
-    /// A Unix-socket connection.
+enum Stream {
     Unix(UnixStream),
-    /// A TCP connection.
     Tcp(TcpStream),
 }
 
 impl Stream {
     /// Connects to `addr` on the transport its shape selects.
-    pub fn connect(addr: &str) -> std::io::Result<Stream> {
+    fn connect(addr: &str) -> std::io::Result<Stream> {
         if is_tcp_addr(addr) {
             TcpStream::connect(addr).map(Stream::Tcp)
         } else {
@@ -145,19 +150,17 @@ impl Stream {
         }
     }
 
-    /// An independently owned handle to the same connection.
-    pub fn try_clone(&self) -> std::io::Result<Stream> {
+    fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             Stream::Unix(s) => s.try_clone().map(Stream::Unix),
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
         }
     }
 
-    /// Sets the read timeout (turns blocked reads into polls).
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
         match self {
-            Stream::Unix(s) => s.set_read_timeout(dur),
-            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Unix(s) => s.set_read_timeout(Some(dur)),
+            Stream::Tcp(s) => s.set_read_timeout(Some(dur)),
         }
     }
 }
@@ -189,7 +192,7 @@ impl Write for Stream {
 
 /// What one bounded line read produced.
 #[derive(Debug, PartialEq, Eq)]
-pub enum LineStatus {
+enum LineStatus {
     /// A complete line is in the buffer (newline-terminated, or the
     /// final unterminated line before EOF).
     Line,
@@ -205,10 +208,7 @@ pub enum LineStatus {
 /// partial line preserved in `buf` — the caller checks its shutdown
 /// flag and calls again; a client writing one byte per 60 ms must never
 /// see its request truncated at a timeout boundary.
-pub fn read_line_bounded<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<LineStatus> {
+fn read_line_bounded<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::Result<LineStatus> {
     loop {
         // Read at most one byte past the cap: enough to tell "exactly
         // at the limit" from "over it", never an unbounded append.
@@ -235,7 +235,7 @@ pub fn read_line_bounded<R: BufRead>(
 /// Returns `true` once the newline has been swallowed (the connection
 /// is back in sync), `false` on EOF. Timeouts surface as `Err`, same
 /// contract as [`read_line_bounded`].
-pub fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<bool> {
+fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<bool> {
     let mut scratch = Vec::with_capacity(1024);
     loop {
         scratch.clear();
@@ -245,6 +245,145 @@ pub fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<bool> {
         }
         if scratch.last() == Some(&b'\n') {
             return Ok(true);
+        }
+    }
+}
+
+/// What happens to open connections once a [`serve_lines`] service's
+/// stop flag is set. Either way the service stops accepting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OnStop {
+    /// Close each connection after its next response or at its next
+    /// read poll, so one `SHUTDOWN` stops the whole endpoint.
+    Close,
+    /// Keep serving each connection until its peer hangs up — the fabric
+    /// coordinator's workers still receive `FINISHED`.
+    Drain,
+}
+
+/// Serves the line protocol on `listener` until `stop` is set and the
+/// open connections have ended as `on_stop` says, then removes a Unix
+/// socket file and returns.
+///
+/// Each accepted connection gets a scoped thread and a fresh handler
+/// from `connection` (per-connection state, such as the router's
+/// backend links, lives in that closure). The handler maps each
+/// non-empty request line, trimmed, to its response line; the service
+/// writes it back with one write. At most `max_connections` (at least
+/// one) are served at once: later clients wait in the listen backlog. A
+/// line over [`MAX_LINE_BYTES`] or one that is not UTF-8 earns an `ERR`
+/// and the connection stays usable. An accept error is transient: the
+/// loop backs off (at most 5 ms) and retries. Handlers set `stop`
+/// themselves.
+pub fn serve_lines<F, H>(
+    listener: Listener,
+    max_connections: usize,
+    stop: &AtomicBool,
+    on_stop: OnStop,
+    connection: F,
+) -> std::io::Result<()>
+where
+    F: Fn() -> H + Sync,
+    H: FnMut(&str) -> String,
+{
+    listener.set_nonblocking()?;
+    let open = AtomicUsize::new(0);
+    let acceptor = std::thread::current();
+    let mut backoff = ACCEPT_BACKOFF_MIN;
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::SeqCst) {
+            if open.load(Ordering::SeqCst) >= max_connections.max(1) {
+                // At the cap there is nothing to do until a connection
+                // ends, and each one unparks this thread as it ends.
+                std::thread::park();
+                continue;
+            }
+            match listener.accept() {
+                Ok(stream) => {
+                    backoff = ACCEPT_BACKOFF_MIN;
+                    open.fetch_add(1, Ordering::SeqCst);
+                    let (open, acceptor, connection) = (&open, &acceptor, &connection);
+                    scope.spawn(move || {
+                        serve_connection(stream, stop, on_stop, connection());
+                        open.fetch_sub(1, Ordering::SeqCst);
+                        acceptor.unpark();
+                    });
+                }
+                // Nobody waiting (WouldBlock), or out of descriptors for
+                // now (EMFILE): the next attempt may succeed either way.
+                Err(_) => {
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                }
+            }
+        }
+    });
+    if let Listener::Unix(_, path) = &listener {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
+/// Serves one connection until the peer hangs up, an I/O error ends
+/// it, or `stop` closes it under [`OnStop::Close`].
+fn serve_connection(
+    stream: Stream,
+    stop: &AtomicBool,
+    on_stop: OnStop,
+    mut respond: impl FnMut(&str) -> String,
+) {
+    let closing = || on_stop == OnStop::Close && stop.load(Ordering::SeqCst);
+    // Blocked reads wake every READ_POLL to check `closing`; a partial
+    // line survives the wake-up in `buf`.
+    if stream.set_read_timeout(READ_POLL).is_err() {
+        return;
+    }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let Some(status) = poll(|| read_line_bounded(&mut reader, &mut buf), &closing) else {
+            return;
+        };
+        let mut response = match status {
+            LineStatus::Closed => return, // an unterminated partial dies with the peer
+            LineStatus::Overflow => {
+                if poll(|| discard_line(&mut reader), &closing) != Some(true) {
+                    return;
+                }
+                format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
+            }
+            LineStatus::Line => match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => {
+                    buf.clear();
+                    continue;
+                }
+                Ok(request) => respond(request),
+                Err(_) => "ERR request is not valid UTF-8".to_string(),
+            },
+        };
+        buf.clear();
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() || closing() {
+            return;
+        }
+    }
+}
+
+/// Retries `read` through read-poll timeouts. `None` closes the
+/// connection: the read failed, or `closing` held at a timeout.
+fn poll<T>(mut read: impl FnMut() -> std::io::Result<T>, closing: &impl Fn() -> bool) -> Option<T> {
+    loop {
+        match read() {
+            Ok(value) => return Some(value),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if closing() {
+                    return None;
+                }
+            }
+            Err(_) => return None,
         }
     }
 }

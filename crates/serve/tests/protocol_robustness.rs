@@ -2,9 +2,10 @@
 //! non-UTF8 bytes, truncated `FEEDS` counts, absurd declared counts —
 //! earns a typed `ERR` line and leaves the connection usable. Never a
 //! panic, never a dropped connection, never an allocation proportional
-//! to what the client *claims* to be sending.
+//! to what the client *claims* to be sending. Each battery runs against
+//! a server and against a router fronting one.
 
-use oqsc_serve::{Server, ServerConfig, MAX_LINE_BYTES};
+use oqsc_serve::{Router, RouterConfig, Server, ServerConfig, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 
@@ -49,13 +50,33 @@ impl RawClient {
     }
 }
 
-#[test]
-fn hostile_lines_get_typed_errors_and_the_connection_survives() {
-    let path = socket_path("battery");
-    let server = Server::bind(&path, ServerConfig::default()).expect("bind");
+/// Runs `battery` on a fresh connection to a server — or, when
+/// `routed`, to a router fronting that server — then shuts the stack
+/// down with one `SHUTDOWN` (a router broadcasts it).
+fn run_battery(name: &str, routed: bool, battery: fn(&mut RawClient)) {
+    let engine = socket_path(&format!("{name}-engine"));
+    let server = Server::bind(&engine, ServerConfig::default()).expect("bind");
     let handle = std::thread::spawn(move || server.run().expect("serve"));
-    let mut client = RawClient::connect(&path);
+    let (front, router) = if routed {
+        let front = socket_path(&format!("{name}-front"));
+        let router = Router::bind(&front, vec![engine], RouterConfig::default()).expect("bind");
+        (
+            front,
+            Some(std::thread::spawn(move || router.run().expect("route"))),
+        )
+    } else {
+        (engine, None)
+    };
+    let mut client = RawClient::connect(&front);
+    battery(&mut client);
+    assert_eq!(client.ask("SHUTDOWN"), "OK shutdown");
+    if let Some(router) = router {
+        router.join().expect("router thread");
+    }
+    handle.join().expect("server thread");
+}
 
+fn hostile_lines(client: &mut RawClient) {
     // A line crossing the cap without a newline: one bounded ERR once
     // the newline finally arrives, then business as usual.
     let mut overlong = vec![b'x'; MAX_LINE_BYTES + 4096];
@@ -107,20 +128,11 @@ fn hostile_lines_get_typed_errors_and_the_connection_survives() {
     assert_eq!(client.ask("FEEDS 5 2 1# 01"), "OK 5 4");
     let outcome = client.ask("FINISH 5");
     assert!(outcome.starts_with("OUTCOME 5 "), "got: {outcome}");
-
-    assert_eq!(client.ask("SHUTDOWN"), "OK shutdown");
-    handle.join().expect("server thread");
 }
 
 /// Two overlong lines back to back, with a pipelined valid request
 /// behind them: the resync must swallow exactly one line per ERR.
-#[test]
-fn oversized_line_resync_is_exact() {
-    let path = socket_path("resync");
-    let server = Server::bind(&path, ServerConfig::default()).expect("bind");
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-    let mut client = RawClient::connect(&path);
-
+fn oversized_line_resync(client: &mut RawClient) {
     let mut blob = Vec::new();
     for _ in 0..2 {
         blob.extend_from_slice(&vec![b'y'; MAX_LINE_BYTES + 100]);
@@ -138,7 +150,24 @@ fn oversized_line_resync_is_exact() {
     let mut open = String::new();
     client.reader.read_line(&mut open).expect("third response");
     assert_eq!(open.trim(), "OK 1 0", "the valid request behind the junk");
+}
 
-    assert_eq!(client.ask("SHUTDOWN"), "OK shutdown");
-    handle.join().expect("server thread");
+#[test]
+fn hostile_lines_get_typed_errors_and_the_connection_survives() {
+    run_battery("battery", false, hostile_lines);
+}
+
+#[test]
+fn hostile_lines_through_a_router_get_typed_errors() {
+    run_battery("routed-battery", true, hostile_lines);
+}
+
+#[test]
+fn oversized_line_resync_is_exact() {
+    run_battery("resync", false, oversized_line_resync);
+}
+
+#[test]
+fn oversized_line_resync_through_a_router_is_exact() {
+    run_battery("routed-resync", true, oversized_line_resync);
 }

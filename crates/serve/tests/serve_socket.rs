@@ -151,23 +151,16 @@ fn restart_from_spill_resumes_mid_stream_sessions() {
     let _ = std::fs::remove_file(&store);
 }
 
-/// A client writing one byte every 35 ms crosses the server's
-/// (non-default) 25 ms read timeout in the middle of every single
-/// request line. The already-read prefix must survive each timeout —
-/// before the fix, the handler cleared its buffer at the top of the
-/// loop and such a client saw its requests truncated into garbage.
+/// A client writing one byte every 60 ms crosses the server's 50 ms
+/// read poll in the middle of every single request line. The
+/// already-read prefix must survive each timeout — before the fix, the
+/// handler cleared its buffer at the top of the loop and such a client
+/// saw its requests truncated into garbage.
 #[test]
 fn byte_at_a_time_slow_writer_is_never_corrupted() {
     const SEED: u64 = 0xD21F7; // same fleet as the identity test
     let path = socket_path("slow-writer");
-    let config = ServerConfig {
-        // Pin a non-default cadence: the timeout is configuration, not
-        // a constant, and the partial-line guarantee must hold at any
-        // value.
-        read_timeout: Duration::from_millis(25),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&path, config).expect("bind");
+    let server = Server::bind(&path, ServerConfig::default()).expect("bind");
     let handle = std::thread::spawn(move || server.run().expect("serve"));
 
     let mut writer = UnixStream::connect(&path).expect("connect");
@@ -176,9 +169,9 @@ fn byte_at_a_time_slow_writer_is_never_corrupted() {
         for byte in format!("{line}\n").bytes() {
             writer.write_all(&[byte]).expect("write byte");
             writer.flush().expect("flush");
-            // Longer than the server's 25 ms poll: every request line is
+            // Longer than the server's 50 ms poll: every request line is
             // interrupted by several read timeouts mid-bytes.
-            std::thread::sleep(Duration::from_millis(35));
+            std::thread::sleep(Duration::from_millis(60));
         }
         let mut response = String::new();
         reader.read_line(&mut response).expect("read");
@@ -195,7 +188,7 @@ fn byte_at_a_time_slow_writer_is_never_corrupted() {
     assert_eq!(
         outcome,
         direct_outcome_lines(SEED)[id as usize],
-        "a 1-byte-per-35ms client must see the exact direct-run outcome"
+        "a 1-byte-per-60ms client must see the exact direct-run outcome"
     );
 
     shutdown_socket(&path).expect("shutdown");
