@@ -11,13 +11,16 @@
 //!   copies no longer uncompute the `h` branch, diffusion mixes the
 //!   branches, and the support grows past the threshold mid-stream —
 //!   `AdaptiveState` promotes and finishes on the parallel dense kernels
-//!   instead of grinding a near-dense `BTreeMap`.
+//!   instead of merging a near-dense sorted support on every gate.
 //!
 //! Each workload runs on all four backends. The interesting comparisons:
 //! `adaptive` vs `sparse` on the densifying stream (the promotion win)
 //! and `adaptive` vs `dense` on the structured stream (the memory win at
 //! a bounded speed cost). The verdict statistics are identical everywhere
 //! by the equivalence suites; this bench measures only time.
+//!
+//! A third group times one A3 diffusion round `U_k S_k U_k` at `k = 4`
+//! on each backend — the per-round cost DESIGN.md §2 quotes.
 //!
 //! ```text
 //! cargo bench -p oqsc-bench --bench adaptive
@@ -29,10 +32,11 @@ use oqsc_core::GroverStreamer;
 use oqsc_lang::{random_member, Sym};
 use oqsc_machine::StreamingDecider;
 use oqsc_quantum::{
-    AdaptiveState, ParallelStateVector, QuantumBackend, SimdLevel, SparseState, StateVector,
+    AdaptiveState, GroverLayout, ParallelStateVector, QuantumBackend, SimdLevel, SparseState,
+    StateVector,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const K: u32 = 5;
 
@@ -96,5 +100,55 @@ fn bench_record_densify(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_record_densify);
+/// A mid-stream A3 register at `k = 4`, as the diffusion finds it: `φ`
+/// after the oracle `V_x W_y V_x` of random strings, i.e. phase-flipped on
+/// every index where both bits are set (support `2^{2k}` = 256 of 1024).
+fn mid_stream_state<B: QuantumBackend>(layout: &GroverLayout) -> B {
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let mut bits = || -> Vec<bool> { (0..layout.domain()).map(|_| rng.gen()).collect() };
+    let (x, y) = (bits(), bits());
+    let mut s: B = layout.phi_in();
+    layout.apply_vx(&mut s, &x);
+    layout.apply_wx(&mut s, &y);
+    layout.apply_vx(&mut s, &x);
+    s
+}
+
+fn diffuse<B: QuantumBackend>(layout: &GroverLayout, s: &mut B) {
+    layout.apply_uk(s);
+    layout.apply_sk(s);
+    layout.apply_uk(s);
+}
+
+/// One diffusion round per iteration. The round is a reflection, so the
+/// register alternates between two states of the same support.
+fn bench_diffusion_round(c: &mut Criterion) {
+    let layout = GroverLayout::for_k(4);
+    let mut group = c.benchmark_group("adaptive/diffusion-round-k4");
+    group.sample_size(20);
+    let mut dense: StateVector = mid_stream_state(&layout);
+    group.bench_function(BenchmarkId::from_parameter("dense"), |b| {
+        b.iter(|| diffuse(&layout, black_box(&mut dense)))
+    });
+    let mut parallel: ParallelStateVector = mid_stream_state(&layout);
+    group.bench_function(BenchmarkId::from_parameter("parallel"), |b| {
+        b.iter(|| diffuse(&layout, black_box(&mut parallel)))
+    });
+    let mut sparse: SparseState = mid_stream_state(&layout);
+    group.bench_function(BenchmarkId::from_parameter("sparse"), |b| {
+        b.iter(|| diffuse(&layout, black_box(&mut sparse)))
+    });
+    let mut adaptive: AdaptiveState = mid_stream_state(&layout);
+    group.bench_function(BenchmarkId::from_parameter("adaptive"), |b| {
+        b.iter(|| diffuse(&layout, black_box(&mut adaptive)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_backends,
+    bench_record_densify,
+    bench_diffusion_round
+);
 criterion_main!(benches);

@@ -666,6 +666,11 @@ pub fn fabric_work(
             }
         };
         stop.store(true, Ordering::SeqCst);
+        // Hang up before the scope joins the heartbeat thread. A heartbeat
+        // that dialed after the coordinator stopped accepting waits in the
+        // listen backlog until the coordinator closes its listener, which
+        // it does only once this connection has drained.
+        drop(client);
         run
     });
     result.map(|()| report)

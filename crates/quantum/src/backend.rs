@@ -7,8 +7,9 @@
 //!
 //! * [`StateVector`] — dense `O(2^n)` amplitudes, `O(2^n)` per gate; the
 //!   default everywhere, and the reference semantics;
-//! * [`crate::SparseState`] — a map from basis index to amplitude storing
-//!   only (numerically) nonzero entries, so the structured Grover states
+//! * [`crate::SparseState`] — `(basis index, amplitude)` pairs in one
+//!   vector sorted by index, storing only (numerically) nonzero entries
+//!   and updated by linear merge passes, so the structured Grover states
 //!   of procedure A3 — support `2^{2k}` inside a `2^{2k+2}`-dimensional
 //!   space, halved again after the marking round — cost memory and time
 //!   proportional to the *support*, not the dimension.

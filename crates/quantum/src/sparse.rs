@@ -1,23 +1,31 @@
 //! Sparse pure-state simulation: amplitudes keyed by basis index.
 //!
-//! [`SparseState`] stores only (numerically) nonzero amplitudes in an
-//! ordered map, so memory and per-gate time scale with the **support**
-//! of the state rather than the `2^n` dimension. This is exactly the
-//! structure the paper's procedure A3 exposes: its register `|i⟩|h⟩|l⟩`
-//! lives in a `2^{2k+2}`-dimensional space but every reachable state is
-//! supported on at most `2·2^{2k}` basis states (index register times the
-//! `h` branch; the `l` branch only populates during the marking round) —
-//! and diagonal/permutation structured operators (`S_k`, `V_x`, `W_x`,
-//! `R_x`) never grow the support at all. Recognizers over `O(log n)` live
-//! qubits therefore run in support-proportional memory, and the
+//! [`SparseState`] stores only (numerically) nonzero amplitudes, as one
+//! vector of `(basis index, amplitude)` pairs kept strictly sorted by
+//! index, so memory and per-gate time scale with the **support** of the
+//! state rather than the `2^n` dimension. This is exactly the structure
+//! the paper's procedure A3 exposes: its register `|i⟩|h⟩|l⟩` lives in a
+//! `2^{2k+2}`-dimensional space but every reachable state is supported on
+//! at most `2·2^{2k}` basis states (index register times the `h` branch;
+//! the `l` branch only populates during the marking round) — and
+//! diagonal/permutation structured operators (`S_k`, `V_x`, `W_x`, `R_x`)
+//! never grow the support at all. Recognizers over `O(log n)` live qubits
+//! therefore run in support-proportional memory, and the
 //! `O(1)`-per-streamed-bit updates of
-//! [`GroverLayout`](crate::GroverLayout) touch at most four map entries.
+//! [`GroverLayout`](crate::GroverLayout) touch at most four entries.
 //!
-//! Dense Hadamard sweeps (`U_k`) still cost `O(support · 2)` per qubit
-//! and can double the support, as they must — sparsity is a property of
-//! the states the workload reaches, not a universal speed-up. The
-//! cross-backend equivalence suite pins this backend to the dense
-//! reference at fidelity `≥ 1 − 1e−9`.
+//! Every kernel is a linear pass over the sorted vector: a single-qubit
+//! gate merges the bit-clear entries with the bit-set entries keyed by
+//! their partner index, reflections, inner products and `add_scaled` are
+//! merge-joins of two sorted supports, and point reads and writes
+//! binary-search. Dense Hadamard sweeps (`U_k`) still cost
+//! `O(support · 2)` per qubit and can double the support, as they must —
+//! sparsity is a property of the states the workload reaches, not a
+//! universal speed-up. A point write that adds or evicts an entry shifts
+//! the tail of the vector, so the streamed `V_x` swaps cost `O(support)`
+//! where the dense backend pays `O(1)`. The cross-backend equivalence
+//! suite pins this backend to the dense reference at fidelity
+//! `≥ 1 − 1e−9`.
 
 use crate::backend::QuantumBackend;
 use crate::complex::{Complex, ONE, ZERO};
@@ -26,17 +34,20 @@ use crate::matrix::Matrix;
 use crate::snapshot::{SnapshotError, StateSnapshot};
 use crate::state::StateVector;
 use rand::Rng;
-use std::collections::BTreeMap;
 
-/// Amplitudes with squared magnitude below this are dropped from the map
-/// (well under every tolerance the workspace tests at, and far above
-/// f64 rounding noise accumulation over any circuit we run).
+/// Amplitudes with squared magnitude below this are dropped from the
+/// support (well under every tolerance the workspace tests at, and far
+/// above f64 rounding noise accumulation over any circuit we run).
 pub const SPARSE_PRUNE_EPS: f64 = 1e-30;
+
+/// One stored amplitude: `(basis index, amplitude)`.
+type Entry = (usize, Complex);
 
 /// A pure quantum state storing only its nonzero amplitudes.
 ///
-/// The map is ordered ([`BTreeMap`]) so iteration — and therefore
-/// sampling, probability sums and `Debug` output — is deterministic.
+/// The entries are kept strictly sorted by basis index, so iteration —
+/// and therefore sampling, probability sums and `Debug` output — is
+/// deterministic and visits the support in the dense backend's order.
 ///
 /// `prune_eps` is the squared-magnitude eviction threshold, normally
 /// [`SPARSE_PRUNE_EPS`]. The adaptive backend runs its sparse phase in
@@ -47,7 +58,7 @@ pub const SPARSE_PRUNE_EPS: f64 = 1e-30;
 #[derive(Clone, PartialEq)]
 pub struct SparseState {
     n: usize,
-    amps: BTreeMap<usize, Complex>,
+    amps: Vec<Entry>,
     prune_eps: f64,
 }
 
@@ -55,7 +66,7 @@ impl SparseState {
     /// Read-only view of the stored `(basis index, amplitude)` pairs in
     /// increasing index order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, Complex)> + '_ {
-        self.amps.iter().map(|(&b, &a)| (b, a))
+        self.amps.iter().copied()
     }
 
     /// Number of explicitly stored amplitudes — the same value as
@@ -67,16 +78,26 @@ impl SparseState {
         self.amps.len()
     }
 
-    /// The pruning-audit hook: panics if any stored amplitude has been
-    /// driven to (numerical) zero without being evicted — i.e. if the
-    /// support has silently grown past the state's true support. The
+    /// The representation-audit hook: panics if any stored amplitude has
+    /// been driven to (numerical) zero without being evicted — i.e. if
+    /// the support has silently grown past the state's true support — or
+    /// if the entries are not in strictly increasing basis order, which
+    /// every kernel's merge and binary search relies on. The
     /// cross-backend equivalence suite calls this after every operation
     /// it checks.
     pub fn assert_support_pruned(&self) {
-        for (&b, a) in &self.amps {
+        for &(b, a) in &self.amps {
             assert!(
                 a.norm_sqr() > self.prune_eps,
                 "unpruned zero amplitude retained at basis index {b}: {a:?}"
+            );
+        }
+        for pair in self.amps.windows(2) {
+            assert!(
+                pair[0].0 < pair[1].0,
+                "support out of order: basis index {} stored before {}",
+                pair[0].0,
+                pair[1].0
             );
         }
     }
@@ -88,12 +109,7 @@ impl SparseState {
     /// perturb amplitude bits and break its bit-for-bit-equals-dense
     /// contract.
     pub(crate) fn densify_exact(&self) -> StateVector {
-        assert!(self.n <= 28, "dense representation limited to 28 qubits");
-        let mut amps = vec![ZERO; 1usize << self.n];
-        for (&b, &a) in &self.amps {
-            amps[b] = a;
-        }
-        StateVector::from_amplitudes_unchecked(amps)
+        StateVector::from_amplitudes_unchecked(self.scatter())
     }
 
     /// Switches this state to exact mode: only exact zeros are evicted
@@ -113,11 +129,12 @@ impl SparseState {
         if dec.num_qubits >= usize::BITS as usize {
             return Err(SnapshotError::Malformed("qubit count out of range"));
         }
-        let mut amps = BTreeMap::new();
+        // Decoding guarantees strictly increasing indices. Dense
+        // encodings carry explicit zeros; keep exactly what the target
+        // mode's setters would have kept.
+        let mut amps = Vec::with_capacity(dec.entries.len());
         for (b, a) in dec.entries {
-            // Dense encodings carry explicit zeros; keep exactly what the
-            // target mode's setters would have kept.
-            Self::insert_pruned(&mut amps, b, a, eps);
+            push_pruned(&mut amps, b, a, eps);
         }
         Ok(SparseState {
             n: dec.num_qubits,
@@ -126,50 +143,116 @@ impl SparseState {
         })
     }
 
-    fn insert_pruned(map: &mut BTreeMap<usize, Complex>, b: usize, a: Complex, eps: f64) {
-        if a.norm_sqr() > eps {
-            map.insert(b, a);
+    fn single(n: usize, b: usize) -> Self {
+        SparseState {
+            n,
+            amps: vec![(b, ONE)],
+            prune_eps: SPARSE_PRUNE_EPS,
         }
     }
 
+    /// Position of `b` in the support (`Err` holds its insertion point).
+    fn find(&self, b: usize) -> Result<usize, usize> {
+        self.amps.binary_search_by_key(&b, |&(i, _)| i)
+    }
+
     fn set(&mut self, b: usize, a: Complex) {
-        if a.norm_sqr() > self.prune_eps {
-            self.amps.insert(b, a);
-        } else {
-            self.amps.remove(&b);
+        let keep = a.norm_sqr() > self.prune_eps;
+        match self.find(b) {
+            Ok(i) if keep => self.amps[i].1 = a,
+            Ok(i) => {
+                self.amps.remove(i);
+            }
+            Err(i) if keep => self.amps.insert(i, (b, a)),
+            Err(_) => {}
         }
     }
 
     fn scale_all(&mut self, s: f64) {
-        for a in self.amps.values_mut() {
+        for (_, a) in &mut self.amps {
             *a = a.scale(s);
         }
     }
+
+    /// The support scattered into a dense vector, exact `+0.0` elsewhere.
+    fn scatter(&self) -> Vec<Complex> {
+        assert!(self.n <= 28, "dense representation limited to 28 qubits");
+        let mut amps = vec![ZERO; 1usize << self.n];
+        for &(b, a) in &self.amps {
+            amps[b] = a;
+        }
+        amps
+    }
+}
+
+/// Appends `(b, a)` unless `a` falls to the eviction threshold `eps`.
+#[inline]
+fn push_pruned(out: &mut Vec<Entry>, b: usize, a: Complex, eps: f64) {
+    if a.norm_sqr() > eps {
+        out.push((b, a));
+    }
+}
+
+/// Where an index of a [`merge_join`] is stored.
+enum Joined {
+    Left(Complex),
+    Right(Complex),
+    Both(Complex, Complex),
+}
+
+/// Merge-joins two supports, each strictly increasing in index: every
+/// index of either, once, in increasing order, with its amplitude(s).
+fn merge_join(
+    left: impl Iterator<Item = Entry>,
+    right: impl Iterator<Item = Entry>,
+) -> impl Iterator<Item = (usize, Joined)> {
+    let (mut left, mut right) = (left.peekable(), right.peekable());
+    std::iter::from_fn(move || {
+        let l = left.peek().map(|&(b, _)| b);
+        let r = right.peek().map(|&(b, _)| b);
+        match (l, r) {
+            (Some(l), Some(r)) if l == r => {
+                let (b, x) = left.next()?;
+                let (_, y) = right.next()?;
+                Some((b, Joined::Both(x, y)))
+            }
+            (Some(l), r) if r.is_none_or(|r| l < r) => {
+                left.next().map(|(b, x)| (b, Joined::Left(x)))
+            }
+            _ => right.next().map(|(b, y)| (b, Joined::Right(y))),
+        }
+    })
+}
+
+/// Merges two index-sorted runs with disjoint indices into `out`.
+fn merge_disjoint(out: &mut Vec<Entry>, a: &[Entry], b: &[Entry]) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i].0 < b[j].0 {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 impl QuantumBackend for SparseState {
     fn zero(n: usize) -> Self {
         assert!(n < usize::BITS as usize, "basis indices must fit in usize");
-        let mut amps = BTreeMap::new();
-        amps.insert(0usize, ONE);
-        SparseState {
-            n,
-            amps,
-            prune_eps: SPARSE_PRUNE_EPS,
-        }
+        Self::single(n, 0)
     }
 
     fn basis(n: usize, b: usize) -> Self {
         assert!(n < usize::BITS as usize, "basis indices must fit in usize");
         // n ≤ 63, so the shift cannot overflow.
         assert!(b < (1usize << n), "basis index out of range");
-        let mut amps = BTreeMap::new();
-        amps.insert(b, ONE);
-        SparseState {
-            n,
-            amps,
-            prune_eps: SPARSE_PRUNE_EPS,
-        }
+        Self::single(n, b)
     }
 
     fn uniform(n: usize) -> Self {
@@ -195,13 +278,13 @@ impl QuantumBackend for SparseState {
             "cannot normalize the zero vector"
         );
         let inv = 1.0 / norm;
-        let mut map = BTreeMap::new();
+        let mut support = Vec::new();
         for (b, a) in amps.into_iter().enumerate() {
-            Self::insert_pruned(&mut map, b, a.scale(inv), SPARSE_PRUNE_EPS);
+            push_pruned(&mut support, b, a.scale(inv), SPARSE_PRUNE_EPS);
         }
         SparseState {
             n,
-            amps: map,
+            amps: support,
             prune_eps: SPARSE_PRUNE_EPS,
         }
     }
@@ -216,7 +299,7 @@ impl QuantumBackend for SparseState {
 
     fn amp(&self, b: usize) -> Complex {
         debug_assert!(b < (1usize << self.n));
-        self.amps.get(&b).copied().unwrap_or(ZERO)
+        self.find(b).map_or(ZERO, |i| self.amps[i].1)
     }
 
     fn norm(&self) -> f64 {
@@ -225,7 +308,7 @@ impl QuantumBackend for SparseState {
         // by REDUCE_CHUNK block reproduces the dense reduction bit for
         // bit — what keeps the adaptive backend's sparse phase on the
         // dense backend's digits.
-        crate::par::chunked_sum_sparse(self.amps.iter().map(|(&b, a)| (b, a.norm_sqr()))).sqrt()
+        crate::par::chunked_sum_sparse(self.amps.iter().map(|&(b, a)| (b, a.norm_sqr()))).sqrt()
     }
 
     fn normalize(&mut self) {
@@ -239,34 +322,18 @@ impl QuantumBackend for SparseState {
 
     fn inner(&self, other: &Self) -> Complex {
         assert_eq!(self.n, other.n, "qubit count mismatch");
-        // Sum over the smaller support, probing the larger.
-        let (small, large, conj_small) = if self.amps.len() <= other.amps.len() {
-            (&self.amps, &other.amps, true)
-        } else {
-            (&other.amps, &self.amps, false)
-        };
-        small
-            .iter()
-            .filter_map(|(b, &a)| {
-                large.get(b).map(|&o| {
-                    if conj_small {
-                        // a is ⟨self|'s ket entry: conj(self_b) · other_b.
-                        a.conj() * o
-                    } else {
-                        o.conj() * a
-                    }
-                })
+        // Terms over the common support, summed in increasing index
+        // order: conj(self_b) · other_b.
+        merge_join(self.entries(), other.entries())
+            .filter_map(|(_, joined)| match joined {
+                Joined::Both(a, o) => Some(a.conj() * o),
+                _ => None,
             })
             .sum()
     }
 
     fn to_dense(&self) -> StateVector {
-        assert!(self.n <= 28, "dense representation limited to 28 qubits");
-        let mut amps = vec![ZERO; 1usize << self.n];
-        for (&b, &a) in &self.amps {
-            amps[b] = a;
-        }
-        StateVector::from_amplitudes(amps)
+        StateVector::from_amplitudes(self.scatter())
     }
 
     fn snapshot(&self) -> StateSnapshot {
@@ -315,27 +382,39 @@ impl QuantumBackend for SparseState {
         let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
         let bit = 1usize << q;
         let eps = self.prune_eps;
-        let mut next = BTreeMap::new();
-        for (&b, &a) in &self.amps {
-            let lo = b & !bit;
-            let hi = lo | bit;
-            if b & bit == 0 {
-                let a1 = self.amps.get(&hi).copied().unwrap_or(ZERO);
-                Self::insert_pruned(&mut next, lo, m00 * a + m01 * a1, eps);
-                Self::insert_pruned(&mut next, hi, m10 * a + m11 * a1, eps);
-            } else if !self.amps.contains_key(&lo) {
-                // The pair was not visited from its low index.
-                Self::insert_pruned(&mut next, lo, m01 * a, eps);
-                Self::insert_pruned(&mut next, hi, m11 * a, eps);
-            }
+        // Pairs (lo, lo | bit) in increasing lo order: the bit-clear
+        // entries keyed by their own index, joined with the bit-set
+        // entries keyed by their partner index — both subsequences are
+        // already sorted by that key. The lo and hi outputs come out
+        // sorted separately and are merged back into one support.
+        let clear = self.amps.iter().copied().filter(|&(b, _)| b & bit == 0);
+        let partners = self
+            .amps
+            .iter()
+            .filter(|&&(b, _)| b & bit != 0)
+            .map(|&(b, a)| (b ^ bit, a));
+        let mut los = Vec::with_capacity(self.amps.len());
+        let mut his = Vec::with_capacity(self.amps.len());
+        for (lo, joined) in merge_join(clear, partners) {
+            let (v0, v1) = match joined {
+                Joined::Both(a0, a1) => (m00 * a0 + m01 * a1, m10 * a0 + m11 * a1),
+                // The absent partner still enters as ZERO: dropping the
+                // term could flip the sign of a zero component, and
+                // snapshots store those bits.
+                Joined::Left(a0) => (m00 * a0 + m01 * ZERO, m10 * a0 + m11 * ZERO),
+                // The pair has no low-index entry.
+                Joined::Right(a1) => (m01 * a1, m11 * a1),
+            };
+            push_pruned(&mut los, lo, v0, eps);
+            push_pruned(&mut his, lo | bit, v1, eps);
         }
-        self.amps = next;
+        merge_disjoint(&mut self.amps, &los, &his);
     }
 
     fn phase_if<F: Fn(usize) -> bool + Sync>(&mut self, pred: F, phase: Complex) {
         // Diagonal: zero amplitudes stay zero, so only the support moves.
-        for (&b, a) in self.amps.iter_mut() {
-            if pred(b) {
+        for (b, a) in &mut self.amps {
+            if pred(*b) {
                 *a *= phase;
             }
         }
@@ -343,13 +422,12 @@ impl QuantumBackend for SparseState {
 
     fn permute_in_place<F: Fn(usize) -> usize>(&mut self, f: F) {
         // A permutation re-keys the support without changing its size.
-        let mut next = BTreeMap::new();
-        for (&b, &a) in &self.amps {
-            let t = f(b);
-            debug_assert_eq!(f(t), b, "permutation must be an involution");
-            next.insert(t, a);
+        for entry in &mut self.amps {
+            let t = f(entry.0);
+            debug_assert_eq!(f(t), entry.0, "permutation must be an involution");
+            entry.0 = t;
         }
-        self.amps = next;
+        self.amps.sort_unstable_by_key(|&(b, _)| b);
     }
 
     fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
@@ -364,24 +442,31 @@ impl QuantumBackend for SparseState {
         let two_overlap = overlap * 2.0;
         // s ← 2⟨ψ|s⟩·ψ − s over the union of supports.
         let eps = self.prune_eps;
-        let mut next = BTreeMap::new();
-        for (&b, &p) in &psi.amps {
-            Self::insert_pruned(&mut next, b, two_overlap * p - self.amp(b), eps);
-        }
-        for (&b, &a) in &self.amps {
-            if !psi.amps.contains_key(&b) {
-                Self::insert_pruned(&mut next, b, -a, eps);
-            }
+        let mut next = Vec::with_capacity(psi.amps.len().max(self.amps.len()));
+        for (b, joined) in merge_join(psi.entries(), self.entries()) {
+            let v = match joined {
+                Joined::Both(p, a) => two_overlap * p - a,
+                Joined::Left(p) => two_overlap * p - ZERO,
+                Joined::Right(a) => -a,
+            };
+            push_pruned(&mut next, b, v, eps);
         }
         self.amps = next;
     }
 
     fn add_scaled(&mut self, other: &Self, coeff: Complex) {
         assert_eq!(self.n, other.n, "qubit count mismatch");
-        for (&b, &o) in &other.amps {
-            let v = self.amp(b) + coeff * o;
-            self.set(b, v);
+        // Entries only `self` holds are left untouched (and unpruned).
+        let eps = self.prune_eps;
+        let mut next = Vec::with_capacity(self.amps.len() + other.amps.len());
+        for (b, joined) in merge_join(self.entries(), other.entries()) {
+            match joined {
+                Joined::Left(a) => next.push((b, a)),
+                Joined::Both(a, o) => push_pruned(&mut next, b, a + coeff * o, eps),
+                Joined::Right(o) => push_pruned(&mut next, b, ZERO + coeff * o, eps),
+            }
         }
+        self.amps = next;
     }
 
     fn prob_one(&self, q: usize) -> f64 {
@@ -396,7 +481,7 @@ impl QuantumBackend for SparseState {
         crate::par::chunked_sum_sparse(
             self.amps
                 .iter()
-                .map(|(&b, a)| (b, if pred(b) { a.norm_sqr() } else { 0.0 })),
+                .map(|&(b, a)| (b, if pred(b) { a.norm_sqr() } else { 0.0 })),
         )
     }
 
@@ -410,14 +495,15 @@ impl QuantumBackend for SparseState {
         assert!(self.n <= 28, "dense distribution limited to 28 qubits");
         out.clear();
         out.resize(1usize << self.n, 0.0);
-        for (&b, &a) in &self.amps {
+        for &(b, a) in &self.amps {
             out[b] = a.norm_sqr();
         }
     }
 
     fn collapse_qubit(&mut self, q: usize, outcome: u8) {
         let mask = 1usize << q;
-        self.amps.retain(|&b, _| u8::from(b & mask != 0) == outcome);
+        self.amps
+            .retain(|&(b, _)| u8::from(b & mask != 0) == outcome);
         self.normalize();
     }
 
@@ -427,16 +513,18 @@ impl QuantumBackend for SparseState {
         // variate lands in. Off-support terms are `+0.0` in both the
         // block sums and the walk, so every skip/return decision is
         // bitwise identical to the dense backend's and the same random
-        // variate yields the same sample.
+        // variate yields the same sample. A block with no support has
+        // mass `+0.0` and can never be returned from, so the scan starts
+        // each step at the block of the next stored entry.
         let mut u: f64 = rng.gen();
-        let mut last = 0usize;
-        let dim = 1usize << self.n;
         let chunk = crate::par::REDUCE_CHUNK;
-        let mut base = 0usize;
-        while base < dim {
-            let end = dim.min(base + chunk);
+        let mut rest = &self.amps[..];
+        while let Some(&(first, _)) = rest.first() {
+            let end = (first / chunk + 1) * chunk;
+            let (block, tail) = rest.split_at(rest.partition_point(|&(b, _)| b < end));
+            rest = tail;
             let mut lanes = [0.0f64; crate::par::REDUCE_LANES];
-            for (&b, a) in self.amps.range(base..end) {
+            for &(b, a) in block {
                 // Block bases are multiples of the lane count, so the
                 // global index selects the same lane as the in-block one.
                 lanes[b & (crate::par::REDUCE_LANES - 1)] += a.norm_sqr();
@@ -444,19 +532,16 @@ impl QuantumBackend for SparseState {
             let s = crate::simd::scalar::fold_lanes(lanes);
             if u > s {
                 u -= s;
-                base = end;
                 continue;
             }
-            for (&b, a) in self.amps.range(base..end) {
-                last = b;
+            for &(b, a) in block {
                 u -= a.norm_sqr();
                 if u <= 0.0 {
                     return b;
                 }
             }
-            base = end;
         }
-        self.amps.keys().next_back().copied().unwrap_or(last)
+        self.amps.last().map_or(0, |&(b, _)| b)
     }
 }
 
@@ -468,7 +553,7 @@ impl std::fmt::Debug for SparseState {
             self.n,
             self.amps.len()
         )?;
-        for (&b, &a) in &self.amps {
+        for &(b, a) in &self.amps {
             if !a.is_approx_zero(1e-12) {
                 writeln!(f, "  |{:0width$b}⟩: {:?}", b, a, width = self.n)?;
             }
@@ -725,7 +810,16 @@ mod tests {
     fn audit_hook_catches_a_stored_zero() {
         let mut s = SparseState::uniform(2);
         // Bypass the pruned setter to simulate a backend bug.
-        s.amps.insert(7usize % 4, Complex::real(0.0));
+        s.amps[3].1 = Complex::real(0.0);
+        s.assert_support_pruned();
+    }
+
+    #[test]
+    #[should_panic(expected = "support out of order")]
+    fn audit_hook_catches_an_out_of_order_entry() {
+        let mut s = SparseState::uniform(2);
+        // Bypass the sorted kernels to simulate a backend bug.
+        s.amps.swap(1, 2);
         s.assert_support_pruned();
     }
 

@@ -18,8 +18,10 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Longest accepted request line in bytes, newline included. Generous —
@@ -272,8 +274,9 @@ pub enum OnStop {
 /// writes it back with one write. At most `max_connections` (at least
 /// one) are served at once: later clients wait in the listen backlog. A
 /// line over [`MAX_LINE_BYTES`] or one that is not UTF-8 earns an `ERR`
-/// and the connection stays usable. An accept error is transient: the
-/// loop backs off (at most 5 ms) and retries. Handlers set `stop`
+/// and the connection stays usable. A handler that panics closes only
+/// its own connection and frees its slot. An accept error is transient:
+/// the loop backs off (at most 5 ms) and retries. Handlers set `stop`
 /// themselves.
 pub fn serve_lines<F, H>(
     listener: Listener,
@@ -301,12 +304,16 @@ where
             match listener.accept() {
                 Ok(stream) => {
                     backoff = ACCEPT_BACKOFF_MIN;
-                    open.fetch_add(1, Ordering::SeqCst);
-                    let (open, acceptor, connection) = (&open, &acceptor, &connection);
+                    let slot = Slot::take(&open, &acceptor);
+                    let connection = &connection;
                     scope.spawn(move || {
-                        serve_connection(stream, stop, on_stop, connection());
-                        open.fetch_sub(1, Ordering::SeqCst);
-                        acceptor.unpark();
+                        let _slot = slot;
+                        // A panicking handler ends its own connection, not
+                        // the service: the engine's locks recover from
+                        // poisoning, and the slot is freed either way.
+                        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                            serve_connection(stream, stop, on_stop, connection())
+                        }));
                     });
                 }
                 // Nobody waiting (WouldBlock), or out of descriptors for
@@ -322,6 +329,28 @@ where
         let _ = std::fs::remove_file(path);
     }
     Ok(())
+}
+
+/// One of [`serve_lines`]' `max_connections` slots, held by a
+/// connection's thread: dropping it, however the thread ends, frees the
+/// slot and wakes an acceptor parked at the cap.
+struct Slot<'a> {
+    open: &'a AtomicUsize,
+    acceptor: &'a Thread,
+}
+
+impl<'a> Slot<'a> {
+    fn take(open: &'a AtomicUsize, acceptor: &'a Thread) -> Self {
+        open.fetch_add(1, Ordering::SeqCst);
+        Slot { open, acceptor }
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.open.fetch_sub(1, Ordering::SeqCst);
+        self.acceptor.unpark();
+    }
 }
 
 /// Serves one connection until the peer hangs up, an I/O error ends
@@ -502,6 +531,53 @@ mod tests {
             LineStatus::Line
         );
         assert_eq!(buf, b"TAIL");
+    }
+
+    /// Sends one line on a fresh connection and returns the response
+    /// line, or `None` if none arrives within two seconds.
+    fn ask_once(addr: &str, request: &str) -> Option<String> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        stream.write_all(format!("{request}\n").as_bytes()).ok()?;
+        let mut line = String::new();
+        match BufReader::new(stream).read_line(&mut line) {
+            Ok(n) if n > 0 => Some(line.trim().to_string()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_frees_its_connection_slot() {
+        let listener = Listener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr();
+        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let (done, finished) = std::sync::mpsc::channel();
+        // A detached thread, so a regression fails this test instead of
+        // hanging it on a scope join.
+        let service_stop = std::sync::Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let served = serve_lines(listener, 1, &service_stop, OnStop::Close, || {
+                |request: &str| {
+                    assert_ne!(request, "BOOM", "handler bug");
+                    format!("PONG {request}")
+                }
+            });
+            let _ = done.send(served.map_err(|e| e.to_string()));
+        });
+        // The only slot's handler panics: its connection closes unanswered.
+        assert_eq!(ask_once(&addr, "BOOM"), None);
+        assert_eq!(
+            ask_once(&addr, "PING").as_deref(),
+            Some("PONG PING"),
+            "the next client must get the freed slot"
+        );
+        stop.store(true, Ordering::SeqCst);
+        let served = finished
+            .recv_timeout(Duration::from_secs(2))
+            .expect("serve_lines returns instead of panicking");
+        assert_eq!(served, Ok(()));
     }
 
     #[test]

@@ -16,10 +16,11 @@ use onlineq::core::{
     GroverStreamer, LdisjRecognizer,
 };
 use onlineq::lang::{random_member, random_nonmember, string_len, LdisjInstance};
-use onlineq::machine::{run_decider, StreamingDecider};
+use onlineq::machine::{run_decider, run_decider_stream, StreamingDecider};
 use onlineq::quantum::{
     AdaptiveState, ParallelStateVector, QuantumBackend, SparseState, StateVector,
 };
+use onlineq::serve::{outcome_line, DeciderKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -357,6 +358,111 @@ fn sparse_support_stays_below_dense_dimension() {
     let _ = sparse.decide();
     let _ = QuantumBackend::support(sparse_probe(&inst).state().expect("allocated"));
 }
+
+/// Served outcomes of every quantum catalog kind, pinned to literal
+/// values: verdict, classical bits, qubits and metered amplitude peak.
+/// The fidelity pins above tolerate 1e−9 of drift, so on their own they
+/// would not notice a sparse-kernel change that moved a pruning decision
+/// (and with it `peak_amplitudes`) or a sampled verdict; this table does.
+#[test]
+fn quantum_kinds_reproduce_golden_outcomes() {
+    let mut lines = Vec::new();
+    for kind in DeciderKind::ALL {
+        if matches!(
+            kind,
+            DeciderKind::Format
+                | DeciderKind::Consistency
+                | DeciderKind::Prop37
+                | DeciderKind::Sketch
+        ) {
+            continue;
+        }
+        let mut words = Vec::new();
+        for seed in [3u64, 8] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            words.push((seed, random_member(3, &mut rng).encode()));
+            words.push((
+                seed,
+                random_nonmember(3, 1 + seed as usize % 3, &mut rng).encode(),
+            ));
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        words.push((4, random_member(4, &mut rng).encode()));
+        for (id, (seed, word)) in words.into_iter().enumerate() {
+            let out = run_decider_stream(kind.build(seed), word);
+            lines.push(format!("{} {}", kind.name(), outcome_line(id as u64, &out)));
+        }
+    }
+    let got = lines.join("\n");
+    assert_eq!(
+        got,
+        GOLDEN_OUTCOMES.join("\n"),
+        "golden table drifted:\n{got}"
+    );
+}
+
+const GOLDEN_OUTCOMES: &[&str] = &[
+    "complement-dense OUTCOME 0 0 92 8 256",
+    "complement-dense OUTCOME 1 1 92 8 256",
+    "complement-dense OUTCOME 2 0 92 8 256",
+    "complement-dense OUTCOME 3 1 92 8 256",
+    "complement-dense OUTCOME 4 0 118 10 1024",
+    "complement-parallel OUTCOME 0 0 92 8 256",
+    "complement-parallel OUTCOME 1 1 92 8 256",
+    "complement-parallel OUTCOME 2 0 92 8 256",
+    "complement-parallel OUTCOME 3 1 92 8 256",
+    "complement-parallel OUTCOME 4 0 118 10 1024",
+    "complement-sparse OUTCOME 0 0 92 8 64",
+    "complement-sparse OUTCOME 1 1 92 8 64",
+    "complement-sparse OUTCOME 2 0 92 8 64",
+    "complement-sparse OUTCOME 3 1 92 8 64",
+    "complement-sparse OUTCOME 4 0 118 10 256",
+    "complement-adaptive OUTCOME 0 0 92 8 64",
+    "complement-adaptive OUTCOME 1 1 92 8 64",
+    "complement-adaptive OUTCOME 2 0 92 8 64",
+    "complement-adaptive OUTCOME 3 1 92 8 64",
+    "complement-adaptive OUTCOME 4 0 118 10 256",
+    "grover-dense OUTCOME 0 1 20 8 256",
+    "grover-dense OUTCOME 1 1 20 8 256",
+    "grover-dense OUTCOME 2 1 20 8 256",
+    "grover-dense OUTCOME 3 1 20 8 256",
+    "grover-dense OUTCOME 4 1 25 10 1024",
+    "grover-parallel OUTCOME 0 1 20 8 256",
+    "grover-parallel OUTCOME 1 1 20 8 256",
+    "grover-parallel OUTCOME 2 1 20 8 256",
+    "grover-parallel OUTCOME 3 1 20 8 256",
+    "grover-parallel OUTCOME 4 1 25 10 1024",
+    "grover-sparse OUTCOME 0 1 20 8 64",
+    "grover-sparse OUTCOME 1 1 20 8 64",
+    "grover-sparse OUTCOME 2 1 20 8 64",
+    "grover-sparse OUTCOME 3 1 20 8 64",
+    "grover-sparse OUTCOME 4 1 25 10 256",
+    "grover-adaptive OUTCOME 0 1 20 8 64",
+    "grover-adaptive OUTCOME 1 1 20 8 64",
+    "grover-adaptive OUTCOME 2 1 20 8 64",
+    "grover-adaptive OUTCOME 3 1 20 8 64",
+    "grover-adaptive OUTCOME 4 1 25 10 256",
+    "ldisj-dense OUTCOME 0 1 184 16 512",
+    "ldisj-dense OUTCOME 1 0 184 16 512",
+    "ldisj-dense OUTCOME 2 1 184 16 512",
+    "ldisj-dense OUTCOME 3 0 184 16 512",
+    "ldisj-dense OUTCOME 4 1 236 20 2048",
+    "ldisj-parallel OUTCOME 0 1 184 16 512",
+    "ldisj-parallel OUTCOME 1 0 184 16 512",
+    "ldisj-parallel OUTCOME 2 1 184 16 512",
+    "ldisj-parallel OUTCOME 3 0 184 16 512",
+    "ldisj-parallel OUTCOME 4 1 236 20 2048",
+    "ldisj-sparse OUTCOME 0 1 184 16 128",
+    "ldisj-sparse OUTCOME 1 0 184 16 128",
+    "ldisj-sparse OUTCOME 2 1 184 16 128",
+    "ldisj-sparse OUTCOME 3 0 184 16 128",
+    "ldisj-sparse OUTCOME 4 1 236 20 512",
+    "ldisj-adaptive OUTCOME 0 1 184 16 128",
+    "ldisj-adaptive OUTCOME 1 0 184 16 128",
+    "ldisj-adaptive OUTCOME 2 1 184 16 128",
+    "ldisj-adaptive OUTCOME 3 0 184 16 128",
+    "ldisj-adaptive OUTCOME 4 1 236 20 512",
+];
 
 /// Helper exercising MeteredRegister's public accessors through a fresh
 /// sparse run (keeps the machine-layer API in the cross-crate contract).
