@@ -60,8 +60,8 @@ fn bench_bit_vs_block(c: &mut Criterion) {
 
 /// Dense vs sparse backend running the identical A3 streaming pipeline
 /// (the `QuantumBackend` seam): the sparse backend pays an index per
-/// stored amplitude and a tail shift per point write that changes the
-/// support, but stores only the support.
+/// stored amplitude and a binary search per streamed point write, but
+/// stores only the support.
 fn bench_dense_vs_sparse_backend(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut group = c.benchmark_group("ablation_a3_quantum_backend");

@@ -19,14 +19,17 @@
 //! a bounded speed cost). The verdict statistics are identical everywhere
 //! by the equivalence suites; this bench measures only time.
 //!
-//! A third group times one A3 diffusion round `U_k S_k U_k` at `k = 4`
-//! on each backend — the per-round cost DESIGN.md §2 quotes.
+//! A third group times one whole A3 round — three streamed blocks and the
+//! diffusion — at `k = 4, 6, 8` on each backend, the per-round cost
+//! DESIGN.md §2 quotes.
 //!
 //! ```text
 //! cargo bench -p oqsc-bench --bench adaptive
 //! ```
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use oqsc_bench::record;
 use oqsc_core::GroverStreamer;
 use oqsc_lang::{random_member, Sym};
@@ -100,48 +103,55 @@ fn bench_record_densify(c: &mut Criterion) {
     group.finish();
 }
 
-/// A mid-stream A3 register at `k = 4`, as the diffusion finds it: `φ`
-/// after the oracle `V_x W_y V_x` of random strings, i.e. phase-flipped on
-/// every index where both bits are set (support `2^{2k}` = 256 of 1024).
-fn mid_stream_state<B: QuantumBackend>(layout: &GroverLayout) -> B {
-    let mut rng = StdRng::seed_from_u64(0xD1FF);
-    let mut bits = || -> Vec<bool> { (0..layout.domain()).map(|_| rng.gen()).collect() };
-    let (x, y) = (bits(), bits());
-    let mut s: B = layout.phi_in();
-    layout.apply_vx(&mut s, &x);
-    layout.apply_wx(&mut s, &y);
-    layout.apply_vx(&mut s, &x);
-    s
-}
-
-fn diffuse<B: QuantumBackend>(layout: &GroverLayout, s: &mut B) {
+/// One A3 round as the streamer runs it: the `x`, `y` and `z = x` blocks
+/// bit by bit (`V_x`, `W_y`, `V_x`), then the diffusion `U_k S_k U_k`.
+/// With `z = x` a round maps an A3 register to another on the same
+/// `2^{2k}` support, so the bench can keep iterating one register.
+fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
+    for (i, &xi) in x.iter().enumerate() {
+        layout.apply_vx_bit(s, i, xi);
+    }
+    for (i, &yi) in y.iter().enumerate() {
+        layout.apply_wx_bit(s, i, yi);
+    }
+    for (i, &xi) in x.iter().enumerate() {
+        layout.apply_vx_bit(s, i, xi);
+    }
     layout.apply_uk(s);
     layout.apply_sk(s);
     layout.apply_uk(s);
 }
 
-/// One diffusion round per iteration. The round is a reflection, so the
-/// register alternates between two states of the same support.
-fn bench_diffusion_round(c: &mut Criterion) {
-    let layout = GroverLayout::for_k(4);
-    let mut group = c.benchmark_group("adaptive/diffusion-round-k4");
-    group.sample_size(20);
-    let mut dense: StateVector = mid_stream_state(&layout);
-    group.bench_function(BenchmarkId::from_parameter("dense"), |b| {
-        b.iter(|| diffuse(&layout, black_box(&mut dense)))
+fn bench_round_on<B: QuantumBackend>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    k: u32,
+    x: &[bool],
+    y: &[bool],
+) {
+    let layout = GroverLayout::for_k(k);
+    let mut s: B = layout.phi_in();
+    group.bench_function(BenchmarkId::new(name, k), |b| {
+        b.iter(|| a3_round(&layout, black_box(&mut s), x, y))
     });
-    let mut parallel: ParallelStateVector = mid_stream_state(&layout);
-    group.bench_function(BenchmarkId::from_parameter("parallel"), |b| {
-        b.iter(|| diffuse(&layout, black_box(&mut parallel)))
-    });
-    let mut sparse: SparseState = mid_stream_state(&layout);
-    group.bench_function(BenchmarkId::from_parameter("sparse"), |b| {
-        b.iter(|| diffuse(&layout, black_box(&mut sparse)))
-    });
-    let mut adaptive: AdaptiveState = mid_stream_state(&layout);
-    group.bench_function(BenchmarkId::from_parameter("adaptive"), |b| {
-        b.iter(|| diffuse(&layout, black_box(&mut adaptive)))
-    });
+}
+
+/// The per-round cost DESIGN.md §2 quotes, at `k = 4, 6, 8` (support
+/// 256, 4096 and 65 536): streamed blocks and diffusion together, as the
+/// streamer pays them.
+fn bench_a3_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("adaptive/a3-round");
+    group.sample_size(10);
+    for k in [4u32, 6, 8] {
+        let mut rng = StdRng::seed_from_u64(0xD1FF + u64::from(k));
+        let domain = GroverLayout::for_k(k).domain();
+        let mut bits = || -> Vec<bool> { (0..domain).map(|_| rng.gen()).collect() };
+        let (x, y) = (bits(), bits());
+        bench_round_on::<StateVector>(&mut group, "dense", k, &x, &y);
+        bench_round_on::<ParallelStateVector>(&mut group, "parallel", k, &x, &y);
+        bench_round_on::<SparseState>(&mut group, "sparse", k, &x, &y);
+        bench_round_on::<AdaptiveState>(&mut group, "adaptive", k, &x, &y);
+    }
     group.finish();
 }
 
@@ -149,6 +159,6 @@ criterion_group!(
     benches,
     bench_backends,
     bench_record_densify,
-    bench_diffusion_round
+    bench_a3_round
 );
 criterion_main!(benches);

@@ -10,9 +10,10 @@
 //!
 //! The register is `|i⟩|h⟩|l⟩`: `2k + 2` qubits, plus `O(k)` classical
 //! bits of counters — the paper's logarithmic space bound. Each streamed
-//! bit triggers an `O(1)` structured update
-//! ([`oqsc_quantum::structured`]'s bit-mode operators), so the whole
-//! simulation is linear in the input length.
+//! bit triggers a structured update of at most four amplitudes
+//! ([`oqsc_quantum::structured`]'s bit-mode operators: `O(1)` on the
+//! dense backends, `O(log support)` amortized on the sparse ones), so the
+//! whole simulation is (near-)linear in the input length.
 //!
 //! Output convention (paper): measure `b` from the last qubit and output
 //! `1 − b`; so `true` (= 1) means "no intersection witnessed".

@@ -8,8 +8,8 @@
 //!   check (condition (i));
 //! * [`a2`] — procedure A2, the one-sided fingerprint consistency check
 //!   (conditions (ii)/(iii));
-//! * [`a3`] — procedure A3, online Grover against the stream with `O(1)`
-//!   work per symbol on a `2k + 2`-qubit register;
+//! * [`a3`] — procedure A3, online Grover against the stream with at most
+//!   four amplitude updates per symbol on a `2k + 2`-qubit register;
 //! * [`emit`] — Definition 2.3 compliance: A3 compiled to the strict
 //!   `{H, T, CNOT}` set in the paper's `a#b#c` output format;
 //! * [`model`] — the Definition 2.3 pipeline run literally (emit →

@@ -9,7 +9,9 @@
 //!   default everywhere, and the reference semantics;
 //! * [`crate::SparseState`] — `(basis index, amplitude)` pairs in one
 //!   vector sorted by index, storing only (numerically) nonzero entries
-//!   and updated by linear merge passes, so the structured Grover states
+//!   and updated by linear merge passes (on a large support, point writes
+//!   wait in a hash map until the next pass merges them), so the
+//!   structured Grover states
 //!   of procedure A3 — support `2^{2k}` inside a `2^{2k+2}`-dimensional
 //!   space, halved again after the marking round — cost memory and time
 //!   proportional to the *support*, not the dimension.
@@ -17,8 +19,10 @@
 //! The trait surface is the exact op set those consumers need: state
 //! initialization, gate application (named gates, raw 2×2 unitaries,
 //! Hadamard sweeps), the structured diagonal/permutation fast paths
-//! (`phase_if`, `permute_in_place`, `store_amplitudes`) that make the
-//! paper's `O(1)`-per-symbol streaming updates possible, reflections for
+//! (`phase_if`, `permute_in_place`, `store_amplitudes`) that let each
+//! streamed symbol touch only the amplitudes it changes (`O(1)` on the
+//! dense backends, `O(log support)` amortized on the sparse one),
+//! reflections for
 //! amplitude amplification, and measurement (probabilities, sampling,
 //! collapse). Closure-typed methods keep the trait object-unsafe on
 //! purpose: backends are chosen statically (monomorphized), which is what
@@ -151,9 +155,12 @@ pub trait QuantumBackend: Clone + std::fmt::Debug {
     /// (`V_x`, `R_x`, X/CNOT-style classical reversible maps).
     fn permute_in_place<F: Fn(usize) -> usize>(&mut self, f: F);
 
-    /// Overwrites specific amplitudes in place — the low-level hook behind
-    /// the `O(1)`-per-streamed-bit structured updates. Callers are
-    /// responsible for keeping the state normalized.
+    /// Overwrites specific amplitudes — the low-level hook behind the
+    /// streamed structured updates, which write at most four amplitudes
+    /// per bit. `O(1)` per write on the dense backends; the sparse backend
+    /// queues writes to a large support and merges them at its next
+    /// kernel, `O(log support)` amortized. Callers are responsible for
+    /// keeping the state normalized.
     fn store_amplitudes(&mut self, writes: &[(usize, Complex)]);
 
     /// Householder reflection about `psi`: `|s⟩ ← (2|ψ⟩⟨ψ| − I)|s⟩`.

@@ -19,7 +19,8 @@
 //! * [`state`] — the dense `O(2^n)`-amplitude simulator with `O(2^n)`-time
 //!   gate application and `O(1)`-time streaming structured updates;
 //! * [`sparse`] — the support-proportional simulator for the structured
-//!   states of procedure A3 (amplitudes keyed by basis index);
+//!   states of procedure A3 (amplitudes in a vector sorted by basis
+//!   index; streamed point writes cost `O(log support)` amortized);
 //! * [`par`] — **the** scoped-thread work-splitting module (every spawn in
 //!   the substrate lives here) plus the chunked floating-point summation
 //!   contract all backends' reductions follow;

@@ -10,22 +10,27 @@
 //! the `l` branch only populates during the marking round) — and
 //! diagonal/permutation structured operators (`S_k`, `V_x`, `W_x`, `R_x`)
 //! never grow the support at all. Recognizers over `O(log n)` live qubits
-//! therefore run in support-proportional memory, and the
-//! `O(1)`-per-streamed-bit updates of
-//! [`GroverLayout`](crate::GroverLayout) touch at most four entries.
+//! therefore run in support-proportional memory, and the per-bit
+//! streamed updates of [`GroverLayout`](crate::GroverLayout) touch at
+//! most four entries.
 //!
 //! Every kernel is a linear pass over the sorted vector: a single-qubit
 //! gate merges the bit-clear entries with the bit-set entries keyed by
 //! their partner index, reflections, inner products and `add_scaled` are
-//! merge-joins of two sorted supports, and point reads and writes
-//! binary-search. Dense Hadamard sweeps (`U_k`) still cost
-//! `O(support · 2)` per qubit and can double the support, as they must —
-//! sparsity is a property of the states the workload reaches, not a
-//! universal speed-up. A point write that adds or evicts an entry shifts
-//! the tail of the vector, so the streamed `V_x` swaps cost `O(support)`
-//! where the dense backend pays `O(1)`. The cross-backend equivalence
-//! suite pins this backend to the dense reference at fidelity
-//! `≥ 1 − 1e−9`.
+//! merge-joins of two sorted supports. Dense Hadamard sweeps (`U_k`)
+//! still cost `O(support · 2)` per qubit and can double the support, as
+//! they must — sparsity is a property of the states the workload
+//! reaches, not a universal speed-up.
+//!
+//! Point writes ([`QuantumBackend::store_amplitudes`], which the streamed
+//! `V_x`/`W_x`/`R_x` fragments use) go into a small vector in place. On a
+//! large one, inserting or evicting an entry would shift its tail,
+//! `O(support)` per streamed bit, so they go to a hash map of pending
+//! writes instead, which point reads consult first and the next kernel
+//! merges into the vector in one sort-and-merge pass — `O(log support)`
+//! amortized per write. Read-only passes over the support see the merged
+//! view. The cross-backend equivalence suite pins this backend to the
+//! dense reference at fidelity `≥ 1 − 1e−9`.
 
 use crate::backend::QuantumBackend;
 use crate::complex::{Complex, ONE, ZERO};
@@ -34,6 +39,8 @@ use crate::matrix::Matrix;
 use crate::snapshot::{SnapshotError, StateSnapshot};
 use crate::state::StateVector;
 use rand::Rng;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Amplitudes with squared magnitude below this are dropped from the
 /// support (well under every tolerance the workspace tests at, and far
@@ -43,9 +50,16 @@ pub const SPARSE_PRUNE_EPS: f64 = 1e-30;
 /// One stored amplitude: `(basis index, amplitude)`.
 type Entry = (usize, Complex);
 
+/// Largest vector that takes point writes in place. Up to here, shifting
+/// the tail on an insert or eviction costs less than hashing every point
+/// read and write into the pending map: A3 streams measured within 10%
+/// either way at support 1024 (`k = 5`) and faster in place at 256
+/// (`k = 4`); see DESIGN.md §2.
+const EAGER_WRITE_MAX_SUPPORT: usize = 512;
+
 /// A pure quantum state storing only its nonzero amplitudes.
 ///
-/// The entries are kept strictly sorted by basis index, so iteration —
+/// The support is kept strictly sorted by basis index, so iteration —
 /// and therefore sampling, probability sums and `Debug` output — is
 /// deterministic and visits the support in the dense backend's order.
 ///
@@ -55,10 +69,18 @@ type Entry = (usize, Complex);
 /// even sub-`1e-15` near-cancellation residues — which later gates remix
 /// into nonzero amplitudes — stay bit-for-bit aligned with the dense
 /// reference.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct SparseState {
     n: usize,
+    /// Strictly increasing by index, every amplitude above `prune_eps`.
     amps: Vec<Entry>,
+    /// Point writes not yet merged into `amps`: the latest value written
+    /// at each index, `None` where the write evicted a stored entry. Which
+    /// indices get written depends on the input stream, so the map keeps
+    /// the default hasher.
+    pending: HashMap<usize, Option<Complex>>,
+    /// Net number of entries `pending` adds to `amps` (negative: evicts).
+    pending_growth: isize,
     prune_eps: f64,
 }
 
@@ -66,7 +88,8 @@ impl SparseState {
     /// Read-only view of the stored `(basis index, amplitude)` pairs in
     /// increasing index order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, Complex)> + '_ {
-        self.amps.iter().copied()
+        let view = self.view();
+        (0..view.len()).map(move |i| view[i])
     }
 
     /// Number of explicitly stored amplitudes — the same value as
@@ -75,24 +98,29 @@ impl SparseState {
     /// number the pruning invariant bounds: every stored entry has
     /// squared magnitude above [`SPARSE_PRUNE_EPS`].
     pub fn support_len(&self) -> usize {
-        self.amps.len()
+        self.amps
+            .len()
+            .checked_add_signed(self.pending_growth)
+            .expect("pending writes evict only stored entries")
     }
 
     /// The representation-audit hook: panics if any stored amplitude has
     /// been driven to (numerical) zero without being evicted — i.e. if
-    /// the support has silently grown past the state's true support — or
-    /// if the entries are not in strictly increasing basis order, which
-    /// every kernel's merge and binary search relies on. The
-    /// cross-backend equivalence suite calls this after every operation
-    /// it checks.
+    /// the support has silently grown past the state's true support — if
+    /// the entries are not in strictly increasing basis order, which
+    /// every kernel's merge and binary search relies on, or if the
+    /// support count disagrees with the entries. Pending point writes are
+    /// checked merged. The cross-backend equivalence suite calls this
+    /// after every operation it checks.
     pub fn assert_support_pruned(&self) {
-        for &(b, a) in &self.amps {
+        let view = self.view();
+        for &(b, a) in view.iter() {
             assert!(
                 a.norm_sqr() > self.prune_eps,
                 "unpruned zero amplitude retained at basis index {b}: {a:?}"
             );
         }
-        for pair in self.amps.windows(2) {
+        for pair in view.windows(2) {
             assert!(
                 pair[0].0 < pair[1].0,
                 "support out of order: basis index {} stored before {}",
@@ -100,6 +128,11 @@ impl SparseState {
                 pair[1].0
             );
         }
+        assert_eq!(
+            self.support_len(),
+            view.len(),
+            "support count disagrees with the stored entries"
+        );
     }
 
     /// Exact densification: scatters the support into a full amplitude
@@ -131,46 +164,113 @@ impl SparseState {
         }
         // Decoding guarantees strictly increasing indices. Dense
         // encodings carry explicit zeros; keep exactly what the target
-        // mode's setters would have kept.
-        let mut amps = Vec::with_capacity(dec.entries.len());
+        // mode's setters would have kept. The vector grows with what is
+        // kept, not with the encoding's length, which for a dense
+        // snapshot is the whole dimension.
+        let mut amps = Vec::new();
         for (b, a) in dec.entries {
             push_pruned(&mut amps, b, a, eps);
         }
-        Ok(SparseState {
-            n: dec.num_qubits,
-            amps,
-            prune_eps: eps,
-        })
+        Ok(Self::from_sorted(dec.num_qubits, amps, eps))
     }
 
-    fn single(n: usize, b: usize) -> Self {
+    /// A state over `n` qubits whose support is `amps`, which must be
+    /// strictly increasing by index and pruned at `prune_eps`.
+    fn from_sorted(n: usize, amps: Vec<Entry>, prune_eps: f64) -> Self {
         SparseState {
             n,
-            amps: vec![(b, ONE)],
-            prune_eps: SPARSE_PRUNE_EPS,
+            amps,
+            pending: HashMap::new(),
+            pending_growth: 0,
+            prune_eps,
         }
     }
 
-    /// Position of `b` in the support (`Err` holds its insertion point).
+    fn single(n: usize, b: usize) -> Self {
+        Self::from_sorted(n, vec![(b, ONE)], SPARSE_PRUNE_EPS)
+    }
+
+    /// Position of `b` in the sorted vector, pending writes aside
+    /// (`Err` holds its insertion point).
     fn find(&self, b: usize) -> Result<usize, usize> {
         self.amps.binary_search_by_key(&b, |&(i, _)| i)
     }
 
+    /// A point write: applied to the vector while it is small, recorded
+    /// in `pending` otherwise.
     fn set(&mut self, b: usize, a: Complex) {
+        use std::collections::hash_map::Entry::{Occupied, Vacant};
         let keep = a.norm_sqr() > self.prune_eps;
-        match self.find(b) {
-            Ok(i) if keep => self.amps[i].1 = a,
-            Ok(i) => {
-                self.amps.remove(i);
+        let pos = self.find(b);
+        if self.pending.is_empty() && self.amps.len() <= EAGER_WRITE_MAX_SUPPORT {
+            match pos {
+                Ok(i) if keep => self.amps[i].1 = a,
+                Ok(i) => {
+                    self.amps.remove(i);
+                }
+                Err(i) if keep => self.amps.insert(i, (b, a)),
+                Err(_) => {}
             }
-            Err(i) if keep => self.amps.insert(i, (b, a)),
-            Err(_) => {}
+            return;
+        }
+        let in_amps = pos.is_ok();
+        // A write that neither keeps a value nor evicts one from the
+        // vector leaves no pending entry, so writes that come and go
+        // leave no trace behind.
+        let record = keep || in_amps;
+        let was_stored = match self.pending.entry(b) {
+            Occupied(mut slot) => {
+                let was_stored = slot.get().is_some();
+                if record {
+                    slot.insert(keep.then_some(a));
+                } else {
+                    slot.remove();
+                }
+                was_stored
+            }
+            Vacant(slot) => {
+                if record {
+                    slot.insert(keep.then_some(a));
+                }
+                in_amps
+            }
+        };
+        self.pending_growth += isize::from(keep) - isize::from(was_stored);
+    }
+
+    /// The sorted vector with the pending writes merged in.
+    fn merged(&self) -> Vec<Entry> {
+        let mut writes: Vec<(usize, Option<Complex>)> =
+            self.pending.iter().map(|(&b, &a)| (b, a)).collect();
+        writes.sort_unstable_by_key(|&(b, _)| b);
+        let mut out = Vec::with_capacity(self.support_len());
+        for (b, joined) in merge_join(self.amps.iter().copied(), writes.into_iter()) {
+            match joined {
+                Joined::Left(a) | Joined::Right(Some(a)) | Joined::Both(_, Some(a)) => {
+                    out.push((b, a))
+                }
+                Joined::Right(None) | Joined::Both(_, None) => {}
+            }
+        }
+        out
+    }
+
+    /// The support in increasing index order, pending writes included.
+    fn view(&self) -> Cow<'_, [Entry]> {
+        if self.pending.is_empty() {
+            Cow::Borrowed(&self.amps)
+        } else {
+            Cow::Owned(self.merged())
         }
     }
 
-    fn scale_all(&mut self, s: f64) {
-        for (_, a) in &mut self.amps {
-            *a = a.scale(s);
+    /// Merges the pending writes into the vector. Every kernel that
+    /// rewrites the vector starts here.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.amps = self.merged();
+            self.pending.clear();
+            self.pending_growth = 0;
         }
     }
 
@@ -178,7 +278,7 @@ impl SparseState {
     fn scatter(&self) -> Vec<Complex> {
         assert!(self.n <= 28, "dense representation limited to 28 qubits");
         let mut amps = vec![ZERO; 1usize << self.n];
-        for &(b, a) in &self.amps {
+        for &(b, a) in self.view().iter() {
             amps[b] = a;
         }
         amps
@@ -194,18 +294,18 @@ fn push_pruned(out: &mut Vec<Entry>, b: usize, a: Complex, eps: f64) {
 }
 
 /// Where an index of a [`merge_join`] is stored.
-enum Joined {
-    Left(Complex),
-    Right(Complex),
-    Both(Complex, Complex),
+enum Joined<L, R> {
+    Left(L),
+    Right(R),
+    Both(L, R),
 }
 
-/// Merge-joins two supports, each strictly increasing in index: every
-/// index of either, once, in increasing order, with its amplitude(s).
-fn merge_join(
-    left: impl Iterator<Item = Entry>,
-    right: impl Iterator<Item = Entry>,
-) -> impl Iterator<Item = (usize, Joined)> {
+/// Merge-joins two index-keyed runs, each strictly increasing in index:
+/// every index of either, once, in increasing order, with its value(s).
+fn merge_join<L, R>(
+    left: impl Iterator<Item = (usize, L)>,
+    right: impl Iterator<Item = (usize, R)>,
+) -> impl Iterator<Item = (usize, Joined<L, R>)> {
     let (mut left, mut right) = (left.peekable(), right.peekable());
     std::iter::from_fn(move || {
         let l = left.peek().map(|&(b, _)| b);
@@ -259,11 +359,7 @@ impl QuantumBackend for SparseState {
         assert!(n <= 28, "a uniform state is dense; limited to 28 qubits");
         let len = 1usize << n;
         let amp = Complex::real(1.0 / (len as f64).sqrt());
-        SparseState {
-            n,
-            amps: (0..len).map(|b| (b, amp)).collect(),
-            prune_eps: SPARSE_PRUNE_EPS,
-        }
+        Self::from_sorted(n, (0..len).map(|b| (b, amp)).collect(), SPARSE_PRUNE_EPS)
     }
 
     fn from_amplitudes(amps: Vec<Complex>) -> Self {
@@ -282,11 +378,7 @@ impl QuantumBackend for SparseState {
         for (b, a) in amps.into_iter().enumerate() {
             push_pruned(&mut support, b, a.scale(inv), SPARSE_PRUNE_EPS);
         }
-        SparseState {
-            n,
-            amps: support,
-            prune_eps: SPARSE_PRUNE_EPS,
-        }
+        Self::from_sorted(n, support, SPARSE_PRUNE_EPS)
     }
 
     fn num_qubits(&self) -> usize {
@@ -294,12 +386,15 @@ impl QuantumBackend for SparseState {
     }
 
     fn support(&self) -> usize {
-        self.amps.len()
+        self.support_len()
     }
 
     fn amp(&self, b: usize) -> Complex {
         debug_assert!(b < (1usize << self.n));
-        self.find(b).map_or(ZERO, |i| self.amps[i].1)
+        match self.pending.get(&b) {
+            Some(written) => written.unwrap_or(ZERO),
+            None => self.find(b).map_or(ZERO, |i| self.amps[i].1),
+        }
     }
 
     fn norm(&self) -> f64 {
@@ -308,16 +403,20 @@ impl QuantumBackend for SparseState {
         // by REDUCE_CHUNK block reproduces the dense reduction bit for
         // bit — what keeps the adaptive backend's sparse phase on the
         // dense backend's digits.
-        crate::par::chunked_sum_sparse(self.amps.iter().map(|&(b, a)| (b, a.norm_sqr()))).sqrt()
+        crate::par::chunked_sum_sparse(self.entries().map(|(b, a)| (b, a.norm_sqr()))).sqrt()
     }
 
     fn normalize(&mut self) {
+        self.flush();
         let norm = self.norm();
         assert!(
             norm > crate::state::STATE_EPS,
             "cannot normalize the zero vector"
         );
-        self.scale_all(1.0 / norm);
+        let s = 1.0 / norm;
+        for (_, a) in &mut self.amps {
+            *a = a.scale(s);
+        }
     }
 
     fn inner(&self, other: &Self) -> Complex {
@@ -382,6 +481,7 @@ impl QuantumBackend for SparseState {
         let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
         let bit = 1usize << q;
         let eps = self.prune_eps;
+        self.flush();
         // Pairs (lo, lo | bit) in increasing lo order: the bit-clear
         // entries keyed by their own index, joined with the bit-set
         // entries keyed by their partner index — both subsequences are
@@ -413,6 +513,7 @@ impl QuantumBackend for SparseState {
 
     fn phase_if<F: Fn(usize) -> bool + Sync>(&mut self, pred: F, phase: Complex) {
         // Diagonal: zero amplitudes stay zero, so only the support moves.
+        self.flush();
         for (b, a) in &mut self.amps {
             if pred(*b) {
                 *a *= phase;
@@ -422,6 +523,7 @@ impl QuantumBackend for SparseState {
 
     fn permute_in_place<F: Fn(usize) -> usize>(&mut self, f: F) {
         // A permutation re-keys the support without changing its size.
+        self.flush();
         for entry in &mut self.amps {
             let t = f(entry.0);
             debug_assert_eq!(f(t), entry.0, "permutation must be an involution");
@@ -438,12 +540,13 @@ impl QuantumBackend for SparseState {
 
     fn reflect_about(&mut self, psi: &Self) {
         assert_eq!(self.n, psi.n, "qubit count mismatch");
+        self.flush();
         let overlap = psi.inner(self);
         let two_overlap = overlap * 2.0;
         // s ← 2⟨ψ|s⟩·ψ − s over the union of supports.
         let eps = self.prune_eps;
-        let mut next = Vec::with_capacity(psi.amps.len().max(self.amps.len()));
-        for (b, joined) in merge_join(psi.entries(), self.entries()) {
+        let mut next = Vec::with_capacity(psi.support_len().max(self.amps.len()));
+        for (b, joined) in merge_join(psi.entries(), self.amps.iter().copied()) {
             let v = match joined {
                 Joined::Both(p, a) => two_overlap * p - a,
                 Joined::Left(p) => two_overlap * p - ZERO,
@@ -458,8 +561,9 @@ impl QuantumBackend for SparseState {
         assert_eq!(self.n, other.n, "qubit count mismatch");
         // Entries only `self` holds are left untouched (and unpruned).
         let eps = self.prune_eps;
-        let mut next = Vec::with_capacity(self.amps.len() + other.amps.len());
-        for (b, joined) in merge_join(self.entries(), other.entries()) {
+        self.flush();
+        let mut next = Vec::with_capacity(self.amps.len() + other.support_len());
+        for (b, joined) in merge_join(self.amps.iter().copied(), other.entries()) {
             match joined {
                 Joined::Left(a) => next.push((b, a)),
                 Joined::Both(a, o) => push_pruned(&mut next, b, a + coeff * o, eps),
@@ -479,9 +583,8 @@ impl QuantumBackend for SparseState {
         // Chunk-ordered (see `norm`): bitwise equal to the dense
         // chunked_prob_where over the equivalent dense vector.
         crate::par::chunked_sum_sparse(
-            self.amps
-                .iter()
-                .map(|&(b, a)| (b, if pred(b) { a.norm_sqr() } else { 0.0 })),
+            self.entries()
+                .map(|(b, a)| (b, if pred(b) { a.norm_sqr() } else { 0.0 })),
         )
     }
 
@@ -495,13 +598,14 @@ impl QuantumBackend for SparseState {
         assert!(self.n <= 28, "dense distribution limited to 28 qubits");
         out.clear();
         out.resize(1usize << self.n, 0.0);
-        for &(b, a) in &self.amps {
+        for (b, a) in self.entries() {
             out[b] = a.norm_sqr();
         }
     }
 
     fn collapse_qubit(&mut self, q: usize, outcome: u8) {
         let mask = 1usize << q;
+        self.flush();
         self.amps
             .retain(|&(b, _)| u8::from(b & mask != 0) == outcome);
         self.normalize();
@@ -518,7 +622,8 @@ impl QuantumBackend for SparseState {
         // each step at the block of the next stored entry.
         let mut u: f64 = rng.gen();
         let chunk = crate::par::REDUCE_CHUNK;
-        let mut rest = &self.amps[..];
+        let view = self.view();
+        let mut rest = &view[..];
         while let Some(&(first, _)) = rest.first() {
             let end = (first / chunk + 1) * chunk;
             let (block, tail) = rest.split_at(rest.partition_point(|&(b, _)| b < end));
@@ -541,7 +646,15 @@ impl QuantumBackend for SparseState {
                 }
             }
         }
-        self.amps.last().map_or(0, |&(b, _)| b)
+        view.last().map_or(0, |&(b, _)| b)
+    }
+}
+
+/// Equal states: the same width, eviction threshold and support, however
+/// much of it is still pending.
+impl PartialEq for SparseState {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.prune_eps == other.prune_eps && self.view() == other.view()
     }
 }
 
@@ -551,9 +664,9 @@ impl std::fmt::Debug for SparseState {
             f,
             "SparseState({} qubits, support {}) [",
             self.n,
-            self.amps.len()
+            self.support_len()
         )?;
-        for &(b, a) in &self.amps {
+        for (b, a) in self.entries() {
             if !a.is_approx_zero(1e-12) {
                 writeln!(f, "  |{:0width$b}⟩: {:?}", b, a, width = self.n)?;
             }
@@ -709,6 +822,83 @@ mod tests {
         s.store_amplitudes(&[(0, ZERO), (3, Complex::real(0.9))]);
         assert_eq!(s.support(), 3);
         assert!(s.amp(0).is_approx_zero(0.0));
+    }
+
+    /// Seeded sweep against a dense model of the pruning rule: point
+    /// writes (repeats, evictions, zeros on absent indices, values under
+    /// the threshold) interleaved with reads, snapshots and a kernel that
+    /// merges pending writes. Every read must see the latest write.
+    /// Returns whether any write went to the pending map.
+    fn check_point_writes(n: usize, hadamards: &[usize], seeds: u64) -> bool {
+        let mut used_pending = false;
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(0x9E4D + seed);
+            let mut s = SparseState::zero(n);
+            s.apply_hadamard_all(hadamards);
+            let mut model = s.scatter();
+            for step in 0..200 {
+                if step % 37 == 36 {
+                    // A diagonal kernel: merges, then negates odd indices.
+                    s.phase_if(|b| b % 2 == 1, -ONE);
+                    for (b, a) in model.iter_mut().enumerate() {
+                        if b % 2 == 1 {
+                            *a *= -ONE;
+                        }
+                    }
+                    assert!(s.pending.is_empty());
+                } else {
+                    let b = rng.gen_range(0..1usize << n);
+                    let a = match rng.gen_range(0u8..4) {
+                        0 => ZERO,
+                        1 => Complex::real(1e-20),
+                        _ => Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                    };
+                    s.store_amplitudes(&[(b, a)]);
+                    model[b] = if a.norm_sqr() > SPARSE_PRUNE_EPS {
+                        a
+                    } else {
+                        ZERO
+                    };
+                    used_pending |= !s.pending.is_empty();
+                }
+                s.assert_support_pruned();
+                let stored: Vec<Entry> = model
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, a)| a != ZERO)
+                    .collect();
+                assert_eq!(s.entries().collect::<Vec<_>>(), stored, "seed {seed}");
+                assert_eq!(s.support(), stored.len(), "seed {seed}");
+                for (b, &a) in model.iter().enumerate() {
+                    assert_eq!(s.amp(b), a, "seed {seed}, index {b}");
+                }
+                assert_eq!(SparseState::restore(&s.snapshot()).unwrap(), s);
+            }
+        }
+        used_pending
+    }
+
+    #[test]
+    fn point_writes_read_like_stored_amplitudes() {
+        // A small register takes every write in place.
+        assert!(!check_point_writes(5, &[0, 2], 20));
+        // One at the in-place limit: inserts push it past the limit into
+        // the pending map, and evictions merged by the kernel bring it
+        // back.
+        let limit_qubits = EAGER_WRITE_MAX_SUPPORT.trailing_zeros() as usize;
+        let hadamards: Vec<usize> = (0..limit_qubits).collect();
+        assert!(check_point_writes(limit_qubits + 1, &hadamards, 4));
+    }
+
+    #[test]
+    fn restoring_a_dense_snapshot_allocates_only_the_support() {
+        // A dense encoding carries all 2^12 amplitudes; the restored
+        // vector must not be sized by it.
+        let snap = StateVector::basis(12, 1234).snapshot();
+        let s = SparseState::restore(&snap).unwrap();
+        assert_eq!(s.entries().collect::<Vec<_>>(), vec![(1234, ONE)]);
+        assert!(s.amps.capacity() <= 4, "capacity {}", s.amps.capacity());
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! * **block mode** — the whole bit-string `x` is known; one `O(2^n)` pass;
 //! * **bit mode** — one input bit `x_i` at a time, touching only the four
-//!   amplitudes whose index part equals `i` (`O(1)` per streamed symbol).
-//!   This is what makes the online simulation of procedure A3 run in time
-//!   linear in the input length.
+//!   amplitudes whose index part equals `i`: `O(1)` per streamed symbol on
+//!   the dense backends, `O(log support)` amortized on the sparse one
+//!   (see [`crate::sparse`]). This is what makes the online simulation of
+//!   procedure A3 run in time (near-)linear in the input length.
 
 use crate::backend::QuantumBackend;
 use crate::complex::ONE;
@@ -158,7 +159,7 @@ impl GroverLayout {
     }
 
     // ------------------------------------------------------------------
-    // Bit-mode (streaming) operators: O(1) per streamed input bit
+    // Bit-mode (streaming) operators: four amplitudes per streamed bit
     // ------------------------------------------------------------------
 
     /// Streaming `V_x` fragment: the factor of `V_x` acting on index value
