@@ -13,19 +13,14 @@
 //!   resume cycle, not just the deciders;
 //! * `resident/N` — the same fleet under a budget that holds everyone
 //!   live: the no-eviction upper bound the churn cells are measured
-//!   against;
-//! * `eviction/<policy>` — the heterogeneous churn cell from
-//!   `oqsc_bench::record::eviction_feed` (every fourth session a dense
-//!   Grover streamer, the rest cheap format checkers) once per eviction
-//!   policy — the LRU-vs-GDSF head-to-head behind the engine's default.
+//!   against.
 //!
 //! ```text
 //! cargo bench -p oqsc-bench --bench mux
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oqsc_bench::record::{eviction_feed, mux_feed, mux_live_budget, MUX_WORD_LEN};
-use oqsc_serve::EvictionPolicy;
+use oqsc_bench::record::{mux_feed, mux_live_budget, MUX_WORD_LEN};
 
 const SESSIONS: usize = 1024;
 const LIVE_SESSIONS: usize = 64;
@@ -45,11 +40,6 @@ fn bench_mux(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("resident", workers), |b| {
             b.iter(|| black_box(mux_feed(SESSIONS, resident_budget, workers)))
-        });
-    }
-    for policy in EvictionPolicy::ALL {
-        group.bench_function(BenchmarkId::new("eviction", policy.name()), |b| {
-            b.iter(|| black_box(eviction_feed(SESSIONS, churn_budget, 4, policy)))
         });
     }
     group.finish();

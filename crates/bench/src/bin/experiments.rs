@@ -21,7 +21,7 @@
 //!
 //! # session-multiplexing server (Unix socket or TCP), and its driver
 //! experiments --serve ADDR [--workers N] [--live-budget BYTES]
-//!             [--eviction lru|gdsf] [--spill-store PATH]
+//!             [--spill-store PATH]
 //! experiments --drive ADDR [--feeds] [--drive-phase 1|2]
 //! experiments --drive-direct       # same fleet, no server — for cmp
 //! experiments --shutdown ADDR
@@ -61,25 +61,25 @@
 //! `--compact PREFIX` rewrites every store file under the prefix down
 //! to one record per instance (its outcome if finished, its latest
 //! checkpoint otherwise) via an atomic rename — resume-heavy stores
-//! shrink, subsequent `--resume` runs are bit-identical. Compacting a
-//! legacy v2 store upgrades it in place to the current compressed v3
-//! format. Add `--break-locks` to clear `.lock` files orphaned by
-//! killed writers first (only sound once those writers are known dead).
+//! shrink, subsequent `--resume` runs are bit-identical. Add
+//! `--break-locks` to clear `.lock` files orphaned by killed writers
+//! first (only sound once those writers are known dead).
 //!
 //! `--store-stats PREFIX` prints one line per store file under the
 //! prefix: format version, record counts (full vs dedupe-ref and the
 //! dedupe hit rate), stored vs uncompressed payload bytes and the
 //! compression ratio — the same columns the `--compact` report shows
-//! before/after. `--store-format 2` makes a `--store` sweep write its
-//! fresh shard stores in the legacy v2 format (raw payloads), which is
-//! how CI exercises the v2 → v3 upgrade path end to end.
+//! before/after. Both take either a sweep's `--store` prefix or the
+//! path of one store file, such as a fabric coordinator's ledger.
+//! Every store is written in format v3, the only one this build reads;
+//! a file claiming any other version is refused with a typed error.
 //!
 //! `--serve ADDR` runs the `oqsc-serve` session-multiplexing engine
 //! behind its line protocol — `ADDR` is a Unix socket path, or
 //! `host:port` for TCP (`--workers N` caps the connections served at
 //! once; later clients wait until one hangs up) — until a client sends
-//! `SHUTDOWN`. `--eviction lru|gdsf` picks the live-tier eviction
-//! policy, and `--spill-store PATH` attaches a durable spill tier
+//! `SHUTDOWN`. Its live tier evicts the least recently fed session
+//! first, and `--spill-store PATH` attaches a durable spill tier
 //! (mid-stream sessions are flushed there on shutdown and rehydrated by
 //! the next `--serve` on the same path). `--drive ADDR` opens the
 //! deterministic 32-session demo fleet over that address — every
@@ -111,8 +111,8 @@ use oqsc_bench::pool::{
 use oqsc_bench::{emit_outcomes, ProcessPool, WORKER_CRASH_EXIT};
 use oqsc_machine::{BatchRunner, CheckpointStore, SessionSchedule, StoreError};
 use oqsc_serve::{
-    direct_outcome_lines, drive_fleet, shutdown_socket, stats_line, DrivePhase, EvictionPolicy,
-    FeedMode, Router, RouterConfig, Server, ServerConfig,
+    direct_outcome_lines, drive_fleet, shutdown_socket, stats_line, DrivePhase, FeedMode, Router,
+    RouterConfig, Server, ServerConfig,
 };
 
 /// Upper bound on `--workers`: far above any real machine, low enough to
@@ -165,13 +165,11 @@ struct Cli {
     of: Option<usize>,
     compact: Option<std::path::PathBuf>,
     store_stats: Option<std::path::PathBuf>,
-    store_format: Option<u8>,
     break_locks: bool,
     bench_json: Option<std::path::PathBuf>,
     bench_reduced: bool,
     serve: Option<String>,
     live_budget: Option<usize>,
-    eviction: Option<EvictionPolicy>,
     spill_store: Option<std::path::PathBuf>,
     route: Option<String>,
     engines: Option<Vec<String>>,
@@ -198,7 +196,7 @@ fn usage_and_exit(code: i32) -> ! {
     println!("       experiments --store-stats PREFIX [--break-locks]");
     println!("       experiments --bench-json PATH [--bench-reduced]");
     println!("       experiments --serve ADDR [--workers N] [--live-budget BYTES]");
-    println!("                   [--eviction lru|gdsf] [--spill-store PATH]");
+    println!("                   [--spill-store PATH]");
     println!("       experiments --route ADDR --engines A1,A2,... [--workers N]");
     println!("       experiments --drive ADDR [--feeds] [--drive-phase 1|2]");
     println!("       experiments --drive-direct | --shutdown ADDR");
@@ -223,11 +221,9 @@ fn usage_and_exit(code: i32) -> ! {
     println!("  --resume               recover existing shard stores, skip finished instances,");
     println!("                         and continue");
     println!("  --crash-after-tokens T testing hook: die after T tokens per fleet (needs --store)");
-    println!("  --store-format 2|3     with --store: format for fresh shard stores");
-    println!("                         (default 3; 2 writes legacy uncompressed logs)");
-    println!("  --compact PREFIX       rewrite each store under PREFIX to one record per");
-    println!("                         instance (atomic rename); resumes stay bit-identical;");
-    println!("                         legacy v2 stores are upgraded to compressed v3");
+    println!("  --compact PREFIX       rewrite each store under PREFIX (or the store file");
+    println!("                         PREFIX) to one record per instance (atomic rename);");
+    println!("                         resumes stay bit-identical");
     println!("  --store-stats PREFIX   print records / dedupe / compression per store file");
     println!("  --break-locks          with --compact or --store-stats: clear orphaned");
     println!("                         .lock files first");
@@ -239,11 +235,6 @@ fn usage_and_exit(code: i32) -> ! {
     println!("                         connections it serves at once)");
     println!("  --live-budget BYTES    with --serve: hot-tier byte budget for live sessions");
     println!("                         (default 64 MiB; 0 = suspend after every feed)");
-    println!("  --eviction lru|gdsf    with --serve: live-tier eviction policy");
-    println!(
-        "                         (default {})",
-        EvictionPolicy::default().name()
-    );
     println!("  --spill-store PATH     with --serve: durable spill tier; mid-stream sessions");
     println!("                         are flushed there on SHUTDOWN and rehydrated by the");
     println!("                         next --serve on the same path");
@@ -315,13 +306,11 @@ fn parse_cli() -> Cli {
         of: None,
         compact: None,
         store_stats: None,
-        store_format: None,
         break_locks: false,
         bench_json: None,
         bench_reduced: false,
         serve: None,
         live_budget: None,
-        eviction: None,
         spill_store: None,
         route: None,
         engines: None,
@@ -407,16 +396,6 @@ fn parse_cli() -> Cli {
                 Some(p) if !p.is_empty() => cli.store_stats = Some(p.into()),
                 raw => bad_value("--store-stats", raw, "a store path prefix"),
             },
-            "--store-format" => {
-                cli.store_format = Some(parse_num(
-                    &mut args,
-                    "--store-format",
-                    "2 (legacy uncompressed) or 3 (current)",
-                    |n: &u8| {
-                        [oqsc_machine::STORE_VERSION_V2, oqsc_machine::STORE_VERSION].contains(n)
-                    },
-                ));
-            }
             "--break-locks" => cli.break_locks = true,
             "--bench-json" => match args.next() {
                 Some(p) if !p.is_empty() => cli.bench_json = Some(p.into()),
@@ -434,13 +413,6 @@ fn parse_cli() -> Cli {
                     "a byte count (0 = evict on every feed)",
                     |_: &usize| true,
                 ));
-            }
-            "--eviction" => {
-                let raw = args.next();
-                match raw.as_deref().and_then(EvictionPolicy::from_name) {
-                    Some(policy) => cli.eviction = Some(policy),
-                    None => bad_value("--eviction", raw, "lru or gdsf"),
-                }
             }
             "--spill-store" => match args.next() {
                 Some(p) if !p.is_empty() => cli.spill_store = Some(p.into()),
@@ -578,7 +550,6 @@ fn parse_cli() -> Cli {
     // Flags owned by one serve-family mode.
     for (set, flag) in [
         (cli.live_budget.is_some(), "--live-budget"),
-        (cli.eviction.is_some(), "--eviction"),
         (cli.spill_store.is_some(), "--spill-store"),
     ] {
         if set && cli.serve.is_none() {
@@ -665,7 +636,6 @@ fn parse_cli() -> Cli {
             (cli.worker, "--worker"),
             (cli.crash_after_tokens.is_some(), "--crash-after-tokens"),
             (cli.checkpoint_every.is_some(), "--checkpoint-every"),
-            (cli.store_format.is_some(), "--store-format"),
         ] {
             if set {
                 eprintln!("error: {mode} cannot be combined with {flag}");
@@ -731,10 +701,6 @@ fn parse_cli() -> Cli {
         eprintln!("error: --break-locks requires --compact or --store-stats");
         std::process::exit(2);
     }
-    if cli.store_format.is_some() && cli.store.is_none() {
-        eprintln!("error: --store-format requires --store");
-        std::process::exit(2);
-    }
     // Flags that only make sense inside a sweep.
     if cli.sweep.is_none() {
         for (set, flag) in [
@@ -795,7 +761,6 @@ fn pool_opts(cli: &Cli) -> PoolRunOpts {
         resume: cli.resume,
         checkpoint_every: cli.checkpoint_every.unwrap_or(DEFAULT_PERSIST_EVERY),
         crash_after_tokens: cli.crash_after_tokens,
-        legacy_v2: cli.store_format == Some(oqsc_machine::STORE_VERSION_V2),
         workers: cli.workers.unwrap_or(1),
     }
 }
@@ -1108,12 +1073,8 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
     if let Some(bytes) = cli.live_budget {
         config.mux.live_bytes_budget = bytes;
     }
-    if let Some(policy) = cli.eviction {
-        config.mux.eviction = policy;
-    }
     config.spill_store = cli.spill_store.clone();
     let threads = config.threads;
-    let eviction = config.mux.eviction;
     let server = match Server::bind(addr, config) {
         Ok(server) => server,
         Err(e) => {
@@ -1122,9 +1083,8 @@ fn run_serve(addr: &str, cli: &Cli) -> i32 {
         }
     };
     eprintln!(
-        "serving on {addr} ({threads} connection handler{}, {} eviction); stop with --shutdown",
+        "serving on {addr} ({threads} connection handler{}); stop with --shutdown",
         if threads == 1 { "" } else { "s" },
-        eviction.name(),
     );
     match server.run() {
         Ok(stats) => {

@@ -340,12 +340,6 @@ pub struct PoolRunOpts {
     /// Testing hook: per fleet, stop dead after feeding this many
     /// tokens — the deterministic crash model. Requires a store prefix.
     pub crash_after_tokens: Option<u64>,
-    /// Write fresh shard stores in the legacy v2 format (raw payloads,
-    /// no compression) — the `--store-format 2` compatibility hook that
-    /// lets tests and CI produce v2 logs for the upgrade path. Resuming
-    /// an existing v2 store is still a typed `ReadOnly` error until
-    /// `--compact` upgrades it.
-    pub legacy_v2: bool,
     /// Batch-scheduler threads *inside each worker* (clamped to ≥ 1;
     /// `Default` = 1, one serial sweep per process). Reports are
     /// worker-count independent, so this only changes the wall clock.
@@ -424,20 +418,18 @@ pub fn shard_store_path(prefix: &Path, fleet: &str, shard: ShardId) -> PathBuf {
 /// Every checkpoint store file under `prefix`, sorted: the `.cps` files
 /// whose names extend the prefix's file name **at a `.` boundary** (the
 /// shape [`shard_store_path`] writes), or `prefix` itself when it names
-/// one store file directly. The separator requirement keeps sibling
-/// runs apart: `--compact /data/run1` must never touch
-/// `/data/run10.e6.shard0of2.cps`. This is what `experiments --compact
-/// PREFIX` iterates — the operator passes the same prefix they swept
-/// with.
+/// a regular file, whatever its extension (a fabric coordinator's
+/// `--store` ledger is written at exactly the path it was given; opening
+/// a file that is not a store fails with `StoreError::NotAStore`). The
+/// separator requirement keeps sibling runs apart: `--compact
+/// /data/run1` must never touch `/data/run10.e6.shard0of2.cps`. This is
+/// what `experiments --compact PREFIX` iterates — the operator passes
+/// the same prefix they swept with.
 pub fn find_store_files(prefix: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let name = prefix.file_name().map(|n| n.to_string_lossy().into_owned());
     if prefix.is_file() {
-        if name.as_deref().is_some_and(|n| n.ends_with(".cps")) {
-            return Ok(vec![prefix.to_path_buf()]);
-        }
-        return Ok(Vec::new());
+        return Ok(vec![prefix.to_path_buf()]);
     }
-    let Some(stem) = name else {
+    let Some(stem) = prefix.file_name().map(|n| n.to_string_lossy().into_owned()) else {
         return Ok(Vec::new());
     };
     let stem_dot = format!("{stem}.");
@@ -460,13 +452,7 @@ pub fn find_store_files(prefix: &Path) -> std::io::Result<Vec<PathBuf>> {
 fn open_shard_store<D: Checkpointable>(
     path: &Path,
     resume: bool,
-    legacy_v2: bool,
 ) -> Result<CheckpointStore, StoreError> {
-    let version = if legacy_v2 {
-        oqsc_machine::STORE_VERSION_V2
-    } else {
-        oqsc_machine::STORE_VERSION
-    };
     if resume {
         // The scheduler owns these single-writer shard files, and resume
         // only runs after the parent reaped the previous worker — the
@@ -477,11 +463,9 @@ fn open_shard_store<D: Checkpointable>(
         if path.exists() {
             return CheckpointStore::recover_for::<D>(path).map(|(store, _)| store);
         }
-        CheckpointStore::create_with_version(path, D::TYPE_TAG, version)
-    } else {
-        // Fresh runs refuse stale stores (`StoreError::AlreadyExists`).
-        CheckpointStore::create_with_version(path, D::TYPE_TAG, version)
     }
+    // Fresh runs refuse stale stores (`StoreError::AlreadyExists`).
+    CheckpointStore::create_for::<D>(path)
 }
 
 /// The strided global indices `shard` owns out of a fleet of `count`
@@ -569,8 +553,7 @@ impl FleetVisitor for ShardRun<'_> {
         let report = match &self.opts.store_prefix {
             Some(prefix) => {
                 let path = shard_store_path(prefix, self.fleet, self.shard);
-                let mut store =
-                    open_shard_store::<D>(&path, self.opts.resume, self.opts.legacy_v2)?;
+                let mut store = open_shard_store::<D>(&path, self.opts.resume)?;
                 let budget = self.opts.crash_after_tokens.unwrap_or(u64::MAX);
                 match runner.run_resumable_budgeted(
                     indices.len(),
@@ -907,10 +890,6 @@ impl ProcessPool {
             if let Some(t) = opts.crash_after_tokens {
                 cmd.arg("--crash-after-tokens").arg(t.to_string());
             }
-            if opts.legacy_v2 {
-                cmd.arg("--store-format")
-                    .arg(oqsc_machine::STORE_VERSION_V2.to_string());
-            }
             match cmd.spawn() {
                 Ok(child) => children.push((shard, child)),
                 Err(e) => {
@@ -1172,9 +1151,13 @@ mod tests {
             .map(|p| p.file_name().expect("name").to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, ["sweep.e6.shard0of2.cps", "sweep.e6.shard1of2.cps"]);
-        // A direct path to one store file is accepted as-is.
+        // A direct path to one store file is accepted as-is, with or
+        // without the `.cps` extension (a fabric coordinator's ledger).
         let one = find_store_files(&dir.join("other.e6.shard0of1.cps")).expect("scan");
         assert_eq!(one.len(), 1);
+        std::fs::write(dir.join("ledger"), b"x").expect("write");
+        let ledger = find_store_files(&dir.join("ledger")).expect("scan");
+        assert_eq!(ledger, [dir.join("ledger")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,11 +26,7 @@
 //!   one pipelined `FEEDS` batch per session; the batched row carries
 //!   `speedup_vs_feed` (the scale-out acceptance number: ≥3×);
 //! * **`router` rows** — the batched socket workload driven through a
-//!   consistent-hash `Router` front over 1 and 2 backend engines;
-//! * **`eviction` rows** — a heterogeneous fleet (every fourth session a
-//!   dense Grover streamer, the rest cheap format checkers) churned once
-//!   per eviction policy (`lru` vs `gdsf`), so the committed record
-//!   carries the measured verdict behind the engine's default policy.
+//!   consistent-hash `Router` front over 1 and 2 backend engines.
 //!
 //! The committed `BENCH_throughput.json` at the repo root is one such
 //! record; CI re-runs the suite at reduced size and diffs the schema
@@ -74,11 +70,6 @@
 //!   "router": [
 //!     { "bench": "router", "engines": 2, "sessions": 256,
 //!       "tokens": 8192, "tokens_per_sec": 1 }
-//!   ],
-//!   "eviction": [
-//!     { "bench": "eviction", "policy": "gdsf", "sessions": 20000,
-//!       "live_budget_bytes": 1, "workers": 8, "tokens": 640000,
-//!       "tokens_per_sec": 1, "evictions": 1, "hydrations": 1 }
 //!   ]
 //! }
 //! ```
@@ -99,8 +90,8 @@ use oqsc_machine::{
 };
 use oqsc_quantum::{simd, AdaptiveState, Complex, QuantumBackend, SimdLevel, StateVector};
 use oqsc_serve::{
-    feeds_line, run_fleet, DeciderKind, EvictionPolicy, LineClient, MuxConfig, MuxEngine, MuxStats,
-    Router, RouterConfig, Server, ServerConfig,
+    feeds_line, run_fleet, DeciderKind, LineClient, MuxConfig, MuxEngine, MuxStats, Router,
+    RouterConfig, Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,20 +174,6 @@ struct RouterRow {
     sessions: usize,
     tokens: u64,
     tokens_per_sec: u64,
-}
-
-/// One row of the `eviction` array: the heterogeneous churn cell under
-/// one eviction policy.
-#[derive(Debug)]
-struct EvictionRow {
-    policy: &'static str,
-    sessions: usize,
-    live_budget_bytes: usize,
-    workers: usize,
-    tokens: u64,
-    tokens_per_sec: u64,
-    evictions: u64,
-    hydrations: u64,
 }
 
 /// Target wall-clock per timing sample, full vs reduced.
@@ -638,7 +615,6 @@ pub fn mux_feed(sessions: usize, live_budget_bytes: usize, workers: usize) -> (u
         live_bytes_budget: live_budget_bytes,
         warm_bytes_budget: usize::MAX,
         shards: 64,
-        ..MuxConfig::default()
     });
     let fleet = (0..sessions)
         .map(|i| (i as u64, DeciderKind::Format.build(i as u64), word.clone()))
@@ -646,72 +622,6 @@ pub fn mux_feed(sessions: usize, live_budget_bytes: usize, workers: usize) -> (u
     let t = Instant::now();
     run_fleet(&engine, fleet, MUX_CHUNK, workers).expect("mux fleet");
     (elapsed_ns(t), engine.stats())
-}
-
-/// The eviction head-to-head cell: a *heterogeneous* fleet — every
-/// fourth session a dense Grover streamer with a checkpoint an order of
-/// magnitude bigger than the format checkers around it — churned under
-/// `policy`. Size-aware eviction should keep the many cheap sessions
-/// resident and let the few big ones churn; recency-only eviction
-/// cycles everything. Returns elapsed nanoseconds and the stats.
-pub fn eviction_feed(
-    sessions: usize,
-    live_budget_bytes: usize,
-    workers: usize,
-    policy: EvictionPolicy,
-) -> (u64, MuxStats) {
-    let word = mux_word();
-    let engine = MuxEngine::new(MuxConfig {
-        live_bytes_budget: live_budget_bytes,
-        warm_bytes_budget: usize::MAX,
-        shards: 64,
-        eviction: policy,
-    });
-    let fleet = (0..sessions)
-        .map(|i| {
-            let kind = if i.is_multiple_of(4) {
-                DeciderKind::GroverDense
-            } else {
-                DeciderKind::Format
-            };
-            (i as u64, kind.build(i as u64), word.clone())
-        })
-        .collect();
-    let t = Instant::now();
-    run_fleet(&engine, fleet, MUX_CHUNK, workers).expect("eviction fleet");
-    (elapsed_ns(t), engine.stats())
-}
-
-/// The `eviction` rows: [`eviction_feed`] once per policy on the same
-/// cell, so the committed record carries the measured LRU-vs-GDSF
-/// verdict next to the numbers that produced it.
-fn eviction_rows(reduced: bool) -> Vec<EvictionRow> {
-    let (sessions, live_sessions, workers) = if reduced {
-        (800, 48, 2usize)
-    } else {
-        (20_000, 256, 8)
-    };
-    // Budget in units of the *mixed* fleet's average checkpoint cost,
-    // probed like `mux_live_budget` but over the actual kind mix.
-    let probe = |kind: DeciderKind| Session::new(kind.build(0)).suspend().byte_len();
-    let avg_cost = (probe(DeciderKind::GroverDense) + 3 * probe(DeciderKind::Format)) / 4;
-    let live_budget_bytes = live_sessions * avg_cost;
-    EvictionPolicy::ALL
-        .into_iter()
-        .map(|policy| {
-            let (ns, stats) = eviction_feed(sessions, live_budget_bytes, workers, policy);
-            EvictionRow {
-                policy: policy.name(),
-                sessions,
-                live_budget_bytes,
-                workers,
-                tokens: stats.tokens,
-                tokens_per_sec: stats.tokens.saturating_mul(1_000_000_000) / ns.max(1),
-                evictions: stats.evictions,
-                hydrations: stats.hydrations,
-            }
-        })
-        .collect()
 }
 
 /// Drives `sessions` format sessions through a served Unix socket and
@@ -733,7 +643,6 @@ fn socket_feed_phase(sessions: usize, batched: bool) -> (u64, u64) {
                 live_bytes_budget: mux_live_budget(16),
                 warm_bytes_budget: 1 << 30,
                 shards: 16,
-                ..MuxConfig::default()
             },
             ..ServerConfig::default()
         },
@@ -836,7 +745,6 @@ fn router_rows(reduced: bool) -> Vec<RouterRow> {
                             live_bytes_budget: mux_live_budget(16),
                             warm_bytes_budget: 1 << 30,
                             shards: 16,
-                            ..MuxConfig::default()
                         },
                         ..ServerConfig::default()
                     },
@@ -932,8 +840,7 @@ pub fn run_record(opts: RecordOpts) -> String {
     let mux = mux_rows(opts.reduced);
     let batched = mux_batched_rows(opts.reduced);
     let routed = router_rows(opts.reduced);
-    let eviction = eviction_rows(opts.reduced);
-    render_json(&results, &stores, &mux, &batched, &routed, &eviction)
+    render_json(&results, &stores, &mux, &batched, &routed)
 }
 
 /// Scalar-median / simd-median for every `(bench, qubits)` pair that has
@@ -961,7 +868,6 @@ fn render_json(
     mux: &[MuxRow],
     batched: &[BatchedRow],
     routed: &[RouterRow],
-    eviction: &[EvictionRow],
 ) -> String {
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"oqsc-bench-record/v1\",\n");
@@ -1051,23 +957,6 @@ fn render_json(
             if i + 1 == routed.len() { "" } else { "," },
         ));
     }
-    json.push_str("  ],\n  \"eviction\": [\n");
-    for (i, e) in eviction.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"bench\": \"eviction\", \"policy\": \"{}\", \"sessions\": {}, \
-             \"live_budget_bytes\": {}, \"workers\": {}, \"tokens\": {}, \
-             \"tokens_per_sec\": {}, \"evictions\": {}, \"hydrations\": {} }}{}\n",
-            e.policy,
-            e.sessions,
-            e.live_budget_bytes,
-            e.workers,
-            e.tokens,
-            e.tokens_per_sec,
-            e.evictions,
-            e.hydrations,
-            if i + 1 == eviction.len() { "" } else { "," },
-        ));
-    }
     json.push_str("  ]\n}\n");
     json
 }
@@ -1120,10 +1009,6 @@ mod tests {
             "\"bench\": \"router\"",
             "\"engines\": 1",
             "\"engines\": 2",
-            "\"eviction\"",
-            "\"bench\": \"eviction\"",
-            "\"policy\": \"lru\"",
-            "\"policy\": \"gdsf\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

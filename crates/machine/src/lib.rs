@@ -69,7 +69,7 @@ pub use space::{bits_for_counter, bits_for_range, SpaceMeter};
 pub use store::{
     content_key, peek_header, peek_tag, CheckpointStore, CompactionReport, RecordScanner,
     RecoveryReport, ScannedRecord, StoreError, StoreHeader, StoreStats, COMPRESS_MIN_LEN,
-    STORE_MAGIC, STORE_VERSION, STORE_VERSION_V2, WORKSPACE_VERSION,
+    STORE_MAGIC, STORE_VERSION, WORKSPACE_VERSION,
 };
 pub use streaming::{
     run_decider, run_decider_stream, RunOutcome, StoreEverything, StorePredicate, StreamingDecider,

@@ -31,8 +31,8 @@
 //!   uncompressed byte lengths. Content keys are always computed over
 //!   the *uncompressed* bytes, so dedupe-ref records and compaction's
 //!   one-record-per-instance rewrite are untouched by the codec choice.
-//!   Version-2 stores (uncompressed layout) still open — read-only —
-//!   and are upgraded in place by [`CheckpointStore::compact`].
+//!   v3 is the only format: a file claiming any other version is
+//!   refused on open with [`StoreError::UnsupportedStoreVersion`].
 //! * **Streaming scan** — `open`, `recover`, and `compact` never load
 //!   the log into memory: a seek-based [`RecordScanner`] validates one
 //!   record at a time, so resident memory is bounded by one payload
@@ -74,18 +74,11 @@ use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The store's own format version (independent of [`CHECKPOINT_VERSION`],
-/// which versions the checkpoint payload bytes). Version 2 added the
-/// outcome record kinds and their fixed-width [`RunOutcome`] payload —
-/// version-1 logs hold no outcomes, so they are rejected rather than
-/// resumed with silent replays. Version 3 added per-payload LZ4 block
-/// compression (flag + uncompressed length on every full record);
-/// version-2 stores open read-only and are upgraded by
-/// [`CheckpointStore::compact`].
+/// which versions the checkpoint payload bytes): outcome records plus
+/// per-payload LZ4 block compression (flag + uncompressed length on
+/// every full record). It is the only version this build reads or
+/// writes; any other fails with [`StoreError::UnsupportedStoreVersion`].
 pub const STORE_VERSION: u8 = 3;
-
-/// The previous store format (uncompressed full records): still readable,
-/// opened read-only, upgraded in place by [`CheckpointStore::compact`].
-pub const STORE_VERSION_V2: u8 = 2;
 
 /// Payloads shorter than this are stored raw: the LZ4 token overhead and
 /// the extra length field cannot pay for themselves on tiny payloads
@@ -105,13 +98,11 @@ const RECORD_OUTCOME_FULL: u8 = 3;
 const RECORD_OUTCOME_REF: u8 = 4;
 /// kind (1) + instance (8) + position (8) + key (16) + header check (8).
 const RECORD_HEADER_LEN: u64 = 41;
-/// v3 full-record metadata: flags (1) + uncompressed len (8) + stored
+/// Full-record metadata: flags (1) + uncompressed len (8) + stored
 /// len (8). The flags byte and lengths sit *outside* the header check —
 /// corruption there is caught by the bounds checks, the decompressor,
 /// and the content hash over the uncompressed bytes.
-const FULL_META_LEN_V3: u64 = 17;
-/// v2 full-record metadata: payload len (8) only.
-const FULL_META_LEN_V2: u64 = 8;
+const FULL_META_LEN: u64 = 17;
 /// Flag bit: the stored bytes are an LZ4 block of the payload.
 const FLAG_COMPRESSED: u8 = 1;
 
@@ -127,7 +118,7 @@ pub enum StoreError {
     /// The file does not begin with the store magic (wrong file, or a
     /// zero-length / foreign file).
     NotAStore,
-    /// The store format version is not one this build understands.
+    /// The store format version is not [`STORE_VERSION`].
     UnsupportedStoreVersion(u8),
     /// The payloads were written under a different checkpoint encoding
     /// version.
@@ -167,13 +158,6 @@ pub enum StoreError {
         /// Offset of the stored (compressed) bytes.
         offset: u64,
     },
-    /// The store was opened from an older format version, which is
-    /// read-only: appends are refused until a compaction upgrades the
-    /// file to the current layout.
-    ReadOnly {
-        /// The store format version the file was written under.
-        version: u8,
-    },
     /// [`CheckpointStore::get`] was asked for a key the store does not
     /// hold.
     UnknownKey,
@@ -200,8 +184,7 @@ impl std::fmt::Display for StoreError {
             StoreError::UnsupportedStoreVersion(v) => {
                 write!(
                     f,
-                    "unsupported store version {v} (this build reads {STORE_VERSION_V2} \
-                     read-only and {STORE_VERSION})"
+                    "unsupported store version {v} (this build reads {STORE_VERSION})"
                 )
             }
             StoreError::CheckpointVersionMismatch { found } => write!(
@@ -224,11 +207,6 @@ impl std::fmt::Display for StoreError {
             StoreError::CorruptCompressed { offset } => {
                 write!(f, "corrupt compressed payload at byte {offset}")
             }
-            StoreError::ReadOnly { version } => write!(
-                f,
-                "store uses the older v{version} format and is read-only; compact it \
-                 (experiments --compact) to upgrade to v{STORE_VERSION}"
-            ),
             StoreError::UnknownKey => write!(f, "no record with the requested content key"),
             StoreError::Locked { lock_path } => write!(
                 f,
@@ -482,8 +460,7 @@ pub struct CompactionReport {
     pub bytes_after: u64,
     /// Full statistics before compaction.
     pub before: StoreStats,
-    /// Full statistics after (always the current store version: a
-    /// version-2 store that was compacted has been upgraded).
+    /// Full statistics after.
     pub after: StoreStats,
 }
 
@@ -510,15 +487,10 @@ struct PayloadLoc {
 pub struct CheckpointStore {
     file: File,
     path: PathBuf,
-    /// The decider tag the header records (compaction re-renders a
-    /// fresh current-version header from it — the v2 upgrade path).
+    /// The decider tag the header records (compaction renders the
+    /// rewritten log's header from it).
     tag: String,
-    /// Store format version of the file on disk.
-    version: u8,
-    /// False for stores opened from an older format: reads work,
-    /// appends are refused until `compact` upgrades the file.
-    writable: bool,
-    /// Whether appends compress eligible payloads (default true on v3;
+    /// Whether appends compress eligible payloads (default true;
     /// [`Self::set_compression`] is the benchmark/testing toggle).
     compression: bool,
     /// Logical end of valid data (everything before it has been
@@ -546,23 +518,6 @@ impl CheckpointStore {
     /// ([`StoreError::AlreadyExists`]) — resuming goes through
     /// [`recover`](Self::recover) instead.
     pub fn create(path: impl AsRef<Path>, tag: &str) -> Result<Self, StoreError> {
-        Self::create_with_version(path, tag, STORE_VERSION)
-    }
-
-    /// [`create`](Self::create) pinned to a specific store format
-    /// version — the legacy-writer hook behind `experiments
-    /// --store-format 2`, kept so the v2→v3 upgrade path stays testable
-    /// end to end. A version-2 store created through this handle is
-    /// writable (it writes pure v2-layout records); *re*-opening it
-    /// later is read-only like any other v2 file.
-    pub fn create_with_version(
-        path: impl AsRef<Path>,
-        tag: &str,
-        version: u8,
-    ) -> Result<Self, StoreError> {
-        if version != STORE_VERSION && version != STORE_VERSION_V2 {
-            return Err(StoreError::UnsupportedStoreVersion(version));
-        }
         let path = path.as_ref();
         // Lock first: a live writer reports `Locked`, not `AlreadyExists`.
         let lock = LockGuard::acquire(path)?;
@@ -571,7 +526,7 @@ impl CheckpointStore {
                 path: path.to_path_buf(),
             });
         }
-        let header = render_header(tag, version);
+        let header = render_header(tag);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -582,9 +537,7 @@ impl CheckpointStore {
             file,
             path: path.to_path_buf(),
             tag: tag.to_string(),
-            version,
-            writable: true,
-            compression: version == STORE_VERSION,
+            compression: true,
             end: header.len() as u64,
             index: HashMap::new(),
             latest: HashMap::new(),
@@ -659,7 +612,7 @@ impl CheckpointStore {
         (&mut file)
             .take(MAX_HEADER_LEN as u64)
             .read_to_end(&mut head)?;
-        let (header_len, version) = validate_header(&head, tag)?;
+        let header_len = validate_header(&head, tag)?;
         let mut latest: HashMap<u64, (u64, u128)> = HashMap::new();
         let mut finished: HashMap<u64, (u64, u128)> = HashMap::new();
         let mut full_records = 0usize;
@@ -668,12 +621,8 @@ impl CheckpointStore {
         // it stops at the failed record's start offset, never
         // re-validating the prefix it already accepted.
         file.seek(SeekFrom::Start(header_len))?;
-        let mut scanner = RecordScanner::new(
-            BufReader::with_capacity(8192, &file),
-            file_len,
-            version,
-            header_len,
-        );
+        let mut scanner =
+            RecordScanner::new(BufReader::with_capacity(8192, &file), file_len, header_len);
         let end = loop {
             match scanner.next_record() {
                 Ok(Some(rec)) => {
@@ -705,8 +654,6 @@ impl CheckpointStore {
                 file,
                 path: path.to_path_buf(),
                 tag: tag.to_string(),
-                version,
-                writable: version == STORE_VERSION,
                 compression: true,
                 end,
                 index,
@@ -735,11 +682,6 @@ impl CheckpointStore {
         position: u64,
         payload: &[u8],
     ) -> Result<u128, StoreError> {
-        if !self.writable {
-            return Err(StoreError::ReadOnly {
-                version: self.version,
-            });
-        }
         let key = content_key(payload);
         let kind = if self.index.contains_key(&key) {
             ref_kind
@@ -753,10 +695,9 @@ impl CheckpointStore {
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&record_header_check(kind, instance, position, key).to_le_bytes());
         let loc = if kind == full_kind {
-            let (stored_len, compressed, meta_len) =
-                encode_full_body(self.version, self.compression, payload, &mut rec);
+            let (stored_len, compressed) = encode_full_body(self.compression, payload, &mut rec);
             Some(PayloadLoc {
-                offset: self.end + RECORD_HEADER_LEN + meta_len,
+                offset: self.end + RECORD_HEADER_LEN + FULL_META_LEN,
                 stored_len,
                 uncompressed_len: payload.len() as u64,
                 compressed,
@@ -932,23 +873,12 @@ impl CheckpointStore {
         &self.path
     }
 
-    /// Store format version of the file this handle is on.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// Whether appends are allowed (false for stores opened from an
-    /// older format version — [`compact`](Self::compact) upgrades them).
-    pub fn is_writable(&self) -> bool {
-        self.writable
-    }
-
     /// Toggles payload compression for subsequent appends (and for
-    /// compaction rewrites). On by default for current-format stores;
-    /// the off switch exists for benchmarks and tests that need an
-    /// uncompressed baseline. Per-record flags make mixed logs valid.
+    /// compaction rewrites). On by default; the off switch exists for
+    /// benchmarks and tests that need an uncompressed baseline.
+    /// Per-record flags make mixed logs valid.
     pub fn set_compression(&mut self, enabled: bool) {
-        self.compression = enabled && self.version == STORE_VERSION;
+        self.compression = enabled;
     }
 
     /// Largest payload footprint (stored bytes, plus decompressed bytes
@@ -963,7 +893,7 @@ impl CheckpointStore {
     /// compressed/uncompressed payload byte totals.
     pub fn stats(&self) -> StoreStats {
         let mut stats = StoreStats {
-            version: self.version,
+            version: STORE_VERSION,
             records: self.records,
             full_records: self.full_records,
             ref_records: self.records - self.full_records,
@@ -1026,10 +956,7 @@ impl CheckpointStore {
         let mut latest = HashMap::new();
         let mut finished = HashMap::new();
         let mut full_records = 0usize;
-        // Always render a fresh current-version header: compacting a
-        // read-only v2 store is exactly how it upgrades to v3 (payloads
-        // are recompressed under the current policy on the way).
-        let header = render_header(&self.tag, STORE_VERSION);
+        let header = render_header(&self.tag);
         tmp.write_all(&header)?;
         let mut end = header.len() as u64;
         for &(instance, position, key, is_outcome) in &survivors {
@@ -1053,13 +980,13 @@ impl CheckpointStore {
             );
             if kind == full_kind {
                 let payload = self.get_payload(key)?;
-                let (stored_len, compressed, meta_len) =
-                    encode_full_body(STORE_VERSION, self.compression, &payload, &mut rec);
+                let (stored_len, compressed) =
+                    encode_full_body(self.compression, &payload, &mut rec);
                 tmp.write_all(&rec)?;
                 index.insert(
                     key,
                     PayloadLoc {
-                        offset: end + RECORD_HEADER_LEN + meta_len,
+                        offset: end + RECORD_HEADER_LEN + FULL_META_LEN,
                         stored_len,
                         uncompressed_len: payload.len() as u64,
                         compressed,
@@ -1094,8 +1021,6 @@ impl CheckpointStore {
         self.finished = finished;
         self.records = survivors.len();
         self.full_records = full_records;
-        self.version = STORE_VERSION;
-        self.writable = true;
         Ok(CompactionReport {
             records_before: stats_before.records,
             records_after: self.records,
@@ -1149,14 +1074,18 @@ pub fn peek_header(path: impl AsRef<Path>) -> Result<StoreHeader, StoreError> {
     File::open(path.as_ref())?
         .take(MAX_HEADER_LEN as u64)
         .read_to_end(&mut bytes)?;
-    validate_header_tag(&bytes).map(|(len, version, tag)| StoreHeader { len, version, tag })
+    validate_header_tag(&bytes).map(|(len, tag)| StoreHeader {
+        len,
+        version: STORE_VERSION,
+        tag,
+    })
 }
 
-/// Renders a store header for `tag` under the given format version.
-fn render_header(tag: &str, version: u8) -> Vec<u8> {
+/// Renders a store header for `tag`.
+fn render_header(tag: &str) -> Vec<u8> {
     let mut header = Vec::with_capacity(32);
     header.extend_from_slice(&STORE_MAGIC);
-    header.push(version);
+    header.push(STORE_VERSION);
     header.push(CHECKPOINT_VERSION);
     push_short_str(&mut header, WORKSPACE_VERSION);
     push_short_str(&mut header, tag);
@@ -1164,21 +1093,10 @@ fn render_header(tag: &str, version: u8) -> Vec<u8> {
 }
 
 /// Encodes the body of a full record (everything after the 41-byte
-/// record header) into `rec` under the given format version, applying
-/// the compression policy for v3. Returns the stored byte count, the
-/// compressed flag, and the metadata length — what the caller needs to
-/// build the [`PayloadLoc`].
-fn encode_full_body(
-    version: u8,
-    compression: bool,
-    payload: &[u8],
-    rec: &mut Vec<u8>,
-) -> (u64, bool, u64) {
-    if version == STORE_VERSION_V2 {
-        rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        rec.extend_from_slice(payload);
-        return (payload.len() as u64, false, FULL_META_LEN_V2);
-    }
+/// record header) into `rec`, applying the compression policy. Returns
+/// the stored byte count and the compressed flag — what the caller
+/// needs to build the [`PayloadLoc`].
+fn encode_full_body(compression: bool, payload: &[u8], rec: &mut Vec<u8>) -> (u64, bool) {
     // Compress only when it is a strict win; per-record flags mean the
     // decision never has to be revisited by readers.
     let block = if compression && payload.len() >= COMPRESS_MIN_LEN {
@@ -1194,11 +1112,7 @@ fn encode_full_body(
     rec.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     rec.extend_from_slice(&(stored.len() as u64).to_le_bytes());
     rec.extend_from_slice(stored);
-    (
-        stored.len() as u64,
-        flags == FLAG_COMPRESSED,
-        FULL_META_LEN_V3,
-    )
+    (stored.len() as u64, flags == FLAG_COMPRESSED)
 }
 
 /// Upper bound on the header's byte length: magic + two version bytes +
@@ -1211,11 +1125,11 @@ fn push_short_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&s.as_bytes()[..s.len().min(u8::MAX as usize)]);
 }
 
-/// Validates the variable-length header, returning its byte length, the
-/// store format version, and the decider tag it records. Every read is
-/// bounds-checked against the file, so a truncated or hostile header
-/// can never index out of range or over-allocate.
-fn validate_header_tag(bytes: &[u8]) -> Result<(u64, u8, String), StoreError> {
+/// Validates the variable-length header, returning its byte length and
+/// the decider tag it records. Every read is bounds-checked against the
+/// file, so a truncated or hostile header can never index out of range
+/// or over-allocate.
+fn validate_header_tag(bytes: &[u8]) -> Result<(u64, String), StoreError> {
     if bytes.len() < STORE_MAGIC.len() || bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
         return Err(StoreError::NotAStore);
     }
@@ -1231,7 +1145,7 @@ fn validate_header_tag(bytes: &[u8]) -> Result<(u64, u8, String), StoreError> {
         Ok(out)
     };
     let store_ver = take(&mut off, 1)?[0];
-    if store_ver != STORE_VERSION && store_ver != STORE_VERSION_V2 {
+    if store_ver != STORE_VERSION {
         return Err(StoreError::UnsupportedStoreVersion(store_ver));
     }
     let cp_ver = take(&mut off, 1)?[0];
@@ -1245,20 +1159,20 @@ fn validate_header_tag(bytes: &[u8]) -> Result<(u64, u8, String), StoreError> {
     }
     let tag_len = take(&mut off, 1)?[0] as usize;
     let found_tag = String::from_utf8_lossy(take(&mut off, tag_len)?).into_owned();
-    Ok((off as u64, store_ver, found_tag))
+    Ok((off as u64, found_tag))
 }
 
 /// [`validate_header_tag`], additionally requiring the recorded decider
-/// tag to equal `tag`. Returns (header length, store format version).
-fn validate_header(bytes: &[u8], tag: &str) -> Result<(u64, u8), StoreError> {
-    let (len, version, found_tag) = validate_header_tag(bytes)?;
+/// tag to equal `tag`. Returns the header length.
+fn validate_header(bytes: &[u8], tag: &str) -> Result<u64, StoreError> {
+    let (len, found_tag) = validate_header_tag(bytes)?;
     if found_tag != tag {
         return Err(StoreError::DeciderMismatch {
             found: found_tag,
             expected: tag.to_string(),
         });
     }
-    Ok((len, version))
+    Ok(len)
 }
 
 /// One validated record, as yielded by [`RecordScanner::next_record`].
@@ -1297,7 +1211,6 @@ pub struct ScannedRecord {
 pub struct RecordScanner<R> {
     reader: R,
     file_len: u64,
-    version: u8,
     /// Start of the record the next `next_record` call will validate
     /// (or, after an error, of the record that failed).
     offset: u64,
@@ -1313,12 +1226,11 @@ pub struct RecordScanner<R> {
 impl<R: Read> RecordScanner<R> {
     /// Starts a scan over `reader`, which must be positioned at
     /// `records_start` (one past the header) of a file `file_len` bytes
-    /// long, written under store format `version`.
-    pub fn new(reader: R, file_len: u64, version: u8, records_start: u64) -> Self {
+    /// long.
+    pub fn new(reader: R, file_len: u64, records_start: u64) -> Self {
         RecordScanner {
             reader,
             file_len,
-            version,
             offset: records_start,
             records: 0,
             attempts: 0,
@@ -1378,38 +1290,23 @@ impl<R: Read> RecordScanner<R> {
                 }))
             }
             RECORD_FULL | RECORD_OUTCOME_FULL => {
-                let meta_len = if self.version == STORE_VERSION_V2 {
-                    FULL_META_LEN_V2
-                } else {
-                    FULL_META_LEN_V3
-                };
-                if remaining < RECORD_HEADER_LEN + meta_len {
+                if remaining < RECORD_HEADER_LEN + FULL_META_LEN {
                     return Err(StoreError::Truncated { offset: off });
                 }
-                let (compressed, uncompressed_len, stored_len) = if self.version == STORE_VERSION_V2
-                {
-                    let mut meta = [0u8; FULL_META_LEN_V2 as usize];
-                    self.reader.read_exact(&mut meta)?;
-                    let len = u64::from_le_bytes(meta);
-                    (false, len, len)
-                } else {
-                    let mut meta = [0u8; FULL_META_LEN_V3 as usize];
-                    self.reader.read_exact(&mut meta)?;
-                    let flags = meta[0];
-                    if flags & !FLAG_COMPRESSED != 0 {
-                        return Err(StoreError::CorruptRecord { offset: off });
-                    }
-                    (
-                        flags == FLAG_COMPRESSED,
-                        u64::from_le_bytes(meta[1..9].try_into().expect("sized")),
-                        u64::from_le_bytes(meta[9..17].try_into().expect("sized")),
-                    )
-                };
+                let mut meta = [0u8; FULL_META_LEN as usize];
+                self.reader.read_exact(&mut meta)?;
+                let flags = meta[0];
+                if flags & !FLAG_COMPRESSED != 0 {
+                    return Err(StoreError::CorruptRecord { offset: off });
+                }
+                let compressed = flags == FLAG_COMPRESSED;
+                let uncompressed_len = u64::from_le_bytes(meta[1..9].try_into().expect("sized"));
+                let stored_len = u64::from_le_bytes(meta[9..17].try_into().expect("sized"));
                 // Stored length first: checked against the real file
                 // size *before* the buffer allocation, so a bit-flipped
                 // (or hostile) length can neither panic nor
                 // over-allocate.
-                if remaining - RECORD_HEADER_LEN - meta_len < stored_len {
+                if remaining - RECORD_HEADER_LEN - FULL_META_LEN < stored_len {
                     return Err(StoreError::Truncated { offset: off });
                 }
                 if !compressed && uncompressed_len != stored_len {
@@ -1446,7 +1343,7 @@ impl<R: Read> RecordScanner<R> {
                     // a bit flip. Still refused before anything trusts it.
                     return Err(StoreError::CorruptRecord { offset: off });
                 }
-                let payload_off = off + RECORD_HEADER_LEN + meta_len;
+                let payload_off = off + RECORD_HEADER_LEN + FULL_META_LEN;
                 self.index.insert(
                     key,
                     PayloadLoc {
@@ -1854,66 +1751,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_stores_open_read_only_and_compact_upgrades_them() {
-        let path = temp_path("v2-upgrade");
-        // The legacy writer: a pure v2 file, uncompressed layout.
-        let mut store = CheckpointStore::create_with_version(
-            &path,
-            StoreEverything::TYPE_TAG,
-            STORE_VERSION_V2,
-        )
-        .expect("create v2");
-        assert_eq!(store.version(), STORE_VERSION_V2);
-        assert!(store.is_writable(), "the legacy writer itself may append");
-        let cp_a = checkpoint_at(600);
-        let cp_b = checkpoint_at(700);
-        store.append(0, &cp_a).expect("append");
-        store.append(0, &cp_b).expect("append");
-        store.append(1, &cp_a).expect("ref record");
-        let done = outcome(true, 11);
-        store.append_outcome(2, 5, &done).expect("outcome");
-        let v2_bytes = store.len_bytes();
-        assert_eq!(store.stats().compressed_payloads, 0, "v2 never compresses");
-        drop(store);
-        // Reopening is read-only: reads work, appends are refused.
-        let mut store = CheckpointStore::open_for::<StoreEverything>(&path).expect("open v2");
-        assert_eq!(store.version(), STORE_VERSION_V2);
-        assert!(!store.is_writable());
-        assert_eq!(store.latest(0).expect("read"), Some(cp_b.clone()));
-        assert_eq!(store.outcome(2).expect("read"), Some(done));
-        assert!(matches!(
-            store.append(3, &cp_a),
-            Err(StoreError::ReadOnly {
-                version: STORE_VERSION_V2
-            })
-        ));
-        assert!(matches!(
-            store.append_outcome(3, 1, &done),
-            Err(StoreError::ReadOnly {
-                version: STORE_VERSION_V2
-            })
-        ));
-        // Compaction is the upgrade: fresh v3 header, recompressed
-        // payloads, writable handle, strictly smaller file.
-        let report = store.compact().expect("upgrade");
-        assert_eq!(report.before.version, STORE_VERSION_V2);
-        assert_eq!(report.after.version, STORE_VERSION);
-        assert!(report.after.compressed_payloads > 0);
-        assert_eq!(store.version(), STORE_VERSION);
-        assert!(store.is_writable());
-        assert!(store.len_bytes() < v2_bytes);
-        store.append(3, &cp_a).expect("writable after upgrade");
-        assert_eq!(store.latest(0).expect("read"), Some(cp_b));
-        assert_eq!(store.outcome(2).expect("read"), Some(done));
-        drop(store);
-        // And the upgraded file is a normal v3 store from here on.
-        let store = CheckpointStore::open_for::<StoreEverything>(&path).expect("open v3");
-        assert_eq!(store.version(), STORE_VERSION);
-        assert!(store.is_writable());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn recovery_reports_a_single_validation_pass() {
         let path = temp_path("single-pass");
         let mut store = CheckpointStore::create_for::<StoreEverything>(&path).expect("create");
@@ -1953,10 +1790,7 @@ mod tests {
         let head = peek_header(&path).expect("peek");
         assert_eq!(head.version, STORE_VERSION);
         assert_eq!(head.tag, "PeekMe");
-        assert_eq!(
-            head.len,
-            render_header("PeekMe", STORE_VERSION).len() as u64
-        );
+        assert_eq!(head.len, render_header("PeekMe").len() as u64);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,9 +3,8 @@
 //! The serving rung of the ROADMAP's "heavy traffic" north star: one box
 //! driving a huge number of concurrent streaming-decider sessions with a
 //! bounded working set. [`MuxEngine`] keeps a byte-budgeted, sharded
-//! live tier (LRU or size-aware GDSF eviction, [`EvictionPolicy`]) of
-//! [`Session`](oqsc_machine::Session)s over two cold tiers —
-//! LZ4-compressed checkpoint bytes in memory, then a persistent
+//! LRU live tier of [`Session`](oqsc_machine::Session)s over two cold
+//! tiers — LZ4-compressed checkpoint bytes in memory, then a persistent
 //! [`CheckpointStore`](oqsc_machine::CheckpointStore) — and hydrates a
 //! suspended session on its next token.
 //!
@@ -15,7 +14,7 @@
 //! `==`-identical to uninterrupted
 //! [`run_decider_stream`](oqsc_machine::run_decider_stream), at any
 //! worker count. `tests/mux_identity.rs` pins that across all seven
-//! deciders, all four backends, three eviction orders and 1/2/8 workers.
+//! deciders, all four backends, three interleaving orders and 1/2/8 workers.
 //!
 //! The front end is a line protocol
 //! (`OPEN`/`FEED`/`FEEDS`/`FINISH`/`STATS`, [`protocol`]) over a Unix
@@ -43,7 +42,7 @@ pub use drive::{
     demo_fleet, direct_outcome_lines, drive_fleet, drive_socket, shutdown_socket, stats_socket,
     DrivePhase, FeedMode, FleetEntry, FEED_CHUNK, SESSIONS_PER_KIND,
 };
-pub use mux::{run_fleet, EvictionPolicy, MuxConfig, MuxEngine, MuxError, MuxStats};
+pub use mux::{run_fleet, MuxConfig, MuxEngine, MuxError, MuxStats};
 pub use protocol::{
     fabric_request_line, fabric_response_line, feeds_line, fleet_outcome_line, outcome_line,
     parse_fabric_request, parse_fabric_response, parse_fleet_outcome_line, parse_outcome_line,

@@ -51,63 +51,6 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How a shard picks its live-tier eviction victim when the byte budget
-/// overflows. Selectable per engine (`--eviction lru|gdsf`); the default
-/// is the winner of the head-to-head `eviction` rows in
-/// `BENCH_throughput.json`. Either policy preserves the engine's
-/// identity contract — eviction order changes *which* sessions round
-/// trip through suspend/resume, and the checkpoint transparency law
-/// makes every such round trip invisible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-touched session, byte costs ignored.
-    #[default]
-    Lru,
-    /// Greedy-Dual-Size-Frequency: evict the lowest
-    /// `clock + hits / cost` session, so a rarely touched session with a
-    /// big checkpoint (a dense amplitude vector) goes before a hot,
-    /// cheap one (a format checker), and the shard-wide clock inflates
-    /// to each evicted priority so long-resident sessions cannot squat
-    /// forever on stale frequency.
-    Gdsf,
-}
-
-impl EvictionPolicy {
-    /// Every policy, in CLI order.
-    pub const ALL: [EvictionPolicy; 2] = [EvictionPolicy::Lru, EvictionPolicy::Gdsf];
-
-    /// The CLI name (`lru`/`gdsf`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::Gdsf => "gdsf",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<EvictionPolicy> {
-        EvictionPolicy::ALL.into_iter().find(|p| p.name() == name)
-    }
-
-    /// The eviction-order key for a live session: lower evicts first.
-    /// LRU orders purely by touch stamp; GDSF by the inflated-clock
-    /// fixed-point priority (the stamp only tie-breaks, via the order
-    /// map's composite key).
-    fn priority(self, inflation: u128, stamp: u64, hits: u64, cost: usize) -> u128 {
-        match self {
-            EvictionPolicy::Lru => u128::from(stamp),
-            EvictionPolicy::Gdsf => {
-                inflation + ((u128::from(hits) << GDSF_FREQ_SHIFT) / cost.max(1) as u128)
-            }
-        }
-    }
-}
-
-/// Fixed-point scale for the GDSF `hits / cost` term: 32 fractional
-/// bits keep the ratio exact for any realistic hit count and checkpoint
-/// size without touching floating point (eviction stays deterministic).
-const GDSF_FREQ_SHIFT: u32 = 32;
-
 /// Sizing knobs for one [`MuxEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct MuxConfig {
@@ -123,8 +66,6 @@ pub struct MuxConfig {
     /// a hash of their id; each shard enforces `budget / shards` of the
     /// byte budgets.
     pub shards: usize,
-    /// Live-tier victim selection when the byte budget overflows.
-    pub eviction: EvictionPolicy,
 }
 
 impl Default for MuxConfig {
@@ -133,7 +74,6 @@ impl Default for MuxConfig {
             live_bytes_budget: 64 << 20,
             warm_bytes_budget: 256 << 20,
             shards: 16,
-            eviction: EvictionPolicy::default(),
         }
     }
 }
@@ -212,18 +152,12 @@ pub struct MuxStats {
 /// A resident session plus its eviction-order bookkeeping.
 struct LiveSession<D: Checkpointable> {
     session: Session<D>,
-    /// Touch stamp — the eviction-order tiebreak, refreshed on every
-    /// touch (and the whole key under [`EvictionPolicy::Lru`]).
+    /// Touch stamp — the session's key in the shard's LRU order,
+    /// refreshed on every touch.
     stamp: u64,
     /// Checkpointed size at the last tier transition — the session's
-    /// contribution to the live byte budget (and the GDSF size term).
+    /// contribution to the live byte budget.
     cost: usize,
-    /// Touches since the session entered the engine (the GDSF
-    /// frequency term). Survives warm-tier round trips, resets when a
-    /// session comes back from the spill store.
-    hits: u64,
-    /// The session's current key in the shard's eviction order map.
-    priority: u128,
 }
 
 /// A suspended session: checkpoint bytes, LZ4-compressed when that wins.
@@ -232,9 +166,6 @@ struct WarmEntry {
     uncompressed_len: usize,
     compressed: bool,
     stamp: u64,
-    /// Carried across the warm round trip so GDSF frequency is not
-    /// erased by an eviction.
-    hits: u64,
 }
 
 impl WarmEntry {
@@ -256,15 +187,9 @@ impl WarmEntry {
 /// and byte accounting for the live and warm tiers.
 struct Shard<D: Checkpointable> {
     live: HashMap<u64, LiveSession<D>>,
-    /// `(priority, stamp) → id`, lowest priority first; eviction pops
-    /// the front. Under LRU the priority *is* the stamp, so this is the
-    /// classic recency order; under GDSF it is the inflated-clock
-    /// fixed-point key and the stamp only breaks ties.
-    order: BTreeMap<(u128, u64), u64>,
-    /// The GDSF clock: raised to each evicted priority, so newly
-    /// touched sessions always outrank long-gone ones. Stays 0 under
-    /// LRU.
-    inflation: u128,
+    /// stamp → id for the live tier, least recently touched first;
+    /// eviction pops the front.
+    order: BTreeMap<u64, u64>,
     live_bytes: usize,
     warm: HashMap<u64, WarmEntry>,
     /// stamp → id for the warm tier; spilling pops the front.
@@ -280,7 +205,6 @@ impl<D: Checkpointable> Shard<D> {
         Shard {
             live: HashMap::new(),
             order: BTreeMap::new(),
-            inflation: 0,
             live_bytes: 0,
             warm: HashMap::new(),
             warm_lru: BTreeMap::new(),
@@ -305,7 +229,6 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 pub struct MuxEngine<D: Checkpointable> {
     shards: Vec<Mutex<Shard<D>>>,
     spill: Option<Mutex<CheckpointStore>>,
-    policy: EvictionPolicy,
     shard_live_budget: usize,
     shard_warm_budget: usize,
     clock: AtomicU64,
@@ -339,7 +262,6 @@ impl<D: Checkpointable> MuxEngine<D> {
         MuxEngine {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             spill: store.map(Mutex::new),
-            policy: config.eviction,
             shard_live_budget: config.live_bytes_budget / shards,
             shard_warm_budget: config.warm_bytes_budget / shards,
             clock: AtomicU64::new(0),
@@ -387,35 +309,23 @@ impl<D: Checkpointable> MuxEngine<D> {
         let session = Session::new(decider);
         let cost = session.suspend().byte_len();
         let stamp = self.tick();
-        self.admit(&mut shard, id, session, cost, 1, stamp);
+        self.admit(&mut shard, id, session, cost, stamp);
         self.opened.fetch_add(1, Ordering::Relaxed);
         self.enforce_budgets(&mut shard)
     }
 
     /// Inserts a session into a shard's live tier with full eviction
-    /// bookkeeping (shared by open, hydrate, and the unit tests'
-    /// direct insertions).
-    fn admit(
-        &self,
-        shard: &mut Shard<D>,
-        id: u64,
-        session: Session<D>,
-        cost: usize,
-        hits: u64,
-        stamp: u64,
-    ) {
-        let priority = self.policy.priority(shard.inflation, stamp, hits, cost);
+    /// bookkeeping (shared by open and hydrate).
+    fn admit(&self, shard: &mut Shard<D>, id: u64, session: Session<D>, cost: usize, stamp: u64) {
         shard.live.insert(
             id,
             LiveSession {
                 session,
                 stamp,
                 cost,
-                hits,
-                priority,
             },
         );
-        shard.order.insert((priority, stamp), id);
+        shard.order.insert(stamp, id);
         shard.live_bytes += cost;
         self.note_live_insert();
     }
@@ -428,17 +338,12 @@ impl<D: Checkpointable> MuxEngine<D> {
         let mut shard = lock_recover(self.shard_of(id));
         self.hydrate(&mut shard, id)?;
         let stamp = self.tick();
-        let inflation = shard.inflation;
         let live = shard.live.get_mut(&id).expect("hydrated");
-        let old_key = (live.priority, live.stamp);
         live.session.feed_slice(word);
         let position = live.session.position();
-        live.stamp = stamp;
-        live.hits += 1;
-        live.priority = self.policy.priority(inflation, stamp, live.hits, live.cost);
-        let new_key = (live.priority, live.stamp);
-        shard.order.remove(&old_key);
-        shard.order.insert(new_key, id);
+        let old_stamp = std::mem::replace(&mut live.stamp, stamp);
+        shard.order.remove(&old_stamp);
+        shard.order.insert(stamp, id);
         self.tokens.fetch_add(word.len() as u64, Ordering::Relaxed);
         self.enforce_budgets(&mut shard)?;
         Ok(position)
@@ -450,7 +355,7 @@ impl<D: Checkpointable> MuxEngine<D> {
         let mut shard = lock_recover(self.shard_of(id));
         self.hydrate(&mut shard, id)?;
         let live = shard.live.remove(&id).expect("hydrated");
-        shard.order.remove(&(live.priority, live.stamp));
+        shard.order.remove(&live.stamp);
         shard.live_bytes -= live.cost;
         shard.retired.insert(id);
         self.live_count.fetch_sub(1, Ordering::Relaxed);
@@ -467,19 +372,15 @@ impl<D: Checkpointable> MuxEngine<D> {
         if shard.live.contains_key(&id) {
             return Ok(());
         }
-        let (cp, hits) = if let Some(entry) = shard.warm.remove(&id) {
+        let cp = if let Some(entry) = shard.warm.remove(&id) {
             shard.warm_lru.remove(&entry.stamp);
             shard.warm_bytes -= entry.bytes.len();
-            let hits = entry.hits;
-            (entry.checkpoint()?, hits)
+            entry.checkpoint()?
         } else if let Some(store) = &self.spill {
-            let mut store = lock_recover(store);
-            match store.latest(id)? {
+            match lock_recover(store).latest(id)? {
                 Some(cp) => {
                     self.spill_hydrations.fetch_add(1, Ordering::Relaxed);
-                    // The store persists checkpoints, not engine
-                    // bookkeeping: frequency restarts at 1.
-                    (cp, 1)
+                    cp
                 }
                 None => return Err(MuxError::UnknownSession(id)),
             }
@@ -489,25 +390,19 @@ impl<D: Checkpointable> MuxEngine<D> {
         let cost = cp.byte_len();
         let session = Session::<D>::resume(&cp)?;
         let stamp = self.tick();
-        self.admit(shard, id, session, cost, hits, stamp);
+        self.admit(shard, id, session, cost, stamp);
         self.hydrations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Evicts lowest-priority live sessions to the warm tier until the
-    /// shard is under its live budget, then spills oldest warm entries
-    /// to the store until under the warm budget.
+    /// Evicts least recently touched live sessions to the warm tier
+    /// until the shard is under its live budget, then spills oldest warm
+    /// entries to the store until under the warm budget.
     fn enforce_budgets(&self, shard: &mut Shard<D>) -> Result<(), MuxError> {
         while shard.live_bytes > self.shard_live_budget {
-            let Some((&(priority, stamp), &victim)) = shard.order.iter().next() else {
+            let Some((stamp, victim)) = shard.order.pop_first() else {
                 break;
             };
-            shard.order.remove(&(priority, stamp));
-            // The GDSF clock rises to the evicted priority: any session
-            // touched from now on outranks everything already evicted.
-            if self.policy == EvictionPolicy::Gdsf {
-                shard.inflation = shard.inflation.max(priority);
-            }
             let live = shard.live.remove(&victim).expect("order entry is live");
             shard.live_bytes -= live.cost;
             self.live_count.fetch_sub(1, Ordering::Relaxed);
@@ -534,17 +429,15 @@ impl<D: Checkpointable> MuxEngine<D> {
                     uncompressed_len,
                     compressed,
                     stamp,
-                    hits: live.hits,
                 },
             );
             shard.warm_lru.insert(stamp, victim);
         }
         if let Some(store) = &self.spill {
             while shard.warm_bytes > self.shard_warm_budget {
-                let Some((&stamp, &victim)) = shard.warm_lru.iter().next() else {
+                let Some((_, victim)) = shard.warm_lru.pop_first() else {
                     break;
                 };
-                shard.warm_lru.remove(&stamp);
                 let entry = shard.warm.remove(&victim).expect("warm lru entry");
                 shard.warm_bytes -= entry.bytes.len();
                 let cp = entry.checkpoint()?;
@@ -576,7 +469,7 @@ impl<D: Checkpointable> MuxEngine<D> {
             ids.sort_unstable();
             for id in ids {
                 let live = shard.live.remove(&id).expect("listed id is live");
-                shard.order.remove(&(live.priority, live.stamp));
+                shard.order.remove(&live.stamp);
                 shard.live_bytes -= live.cost;
                 self.live_count.fetch_sub(1, Ordering::Relaxed);
                 lock_recover(store).append(id, &live.session.suspend())?;
@@ -718,7 +611,6 @@ mod tests {
             live_bytes_budget: 0,
             warm_bytes_budget: 0,
             shards: 1,
-            eviction: EvictionPolicy::default(),
         });
         engine
             .open(7, store_session(StorePredicate::InLdisj))
@@ -747,7 +639,6 @@ mod tests {
                 live_bytes_budget: 0,
                 warm_bytes_budget: 0,
                 shards: 2,
-                eviction: EvictionPolicy::default(),
             },
             store,
         );
@@ -801,7 +692,6 @@ mod tests {
             live_bytes_budget: 1 << 20,
             warm_bytes_budget: 1 << 20,
             shards: 1, // every id maps to the poisoned shard
-            eviction: EvictionPolicy::default(),
         });
         engine
             .open(1, store_session(StorePredicate::ContainsOne))
@@ -824,70 +714,31 @@ mod tests {
     }
 
     #[test]
-    fn gdsf_prefers_hot_sessions_over_cold_ones() {
-        // Two same-cost sessions: the one touched more often must sit
-        // at the high-priority end of the eviction order under GDSF,
-        // even though it is *less* recent than the cold one — the
-        // exact case where LRU picks the wrong victim.
+    fn lru_evicts_the_least_recently_fed_session_first() {
+        // Two same-cost sessions: the one fed more often but less
+        // recently must head the eviction order — recency alone decides.
         let engine = MuxEngine::new(MuxConfig {
             live_bytes_budget: 1 << 20,
             warm_bytes_budget: 1 << 20,
             shards: 1,
-            eviction: EvictionPolicy::Gdsf,
         });
         engine
             .open(1, store_session(StorePredicate::AcceptAll))
-            .expect("open cold");
+            .expect("open");
         engine
             .open(2, store_session(StorePredicate::AcceptAll))
-            .expect("open hot");
+            .expect("open");
         for sym in word("1#01") {
-            engine.feed(2, &[sym]).expect("feed hot");
+            engine.feed(2, &[sym]).expect("feed often");
         }
-        // Same four symbols in one shot: most recent, but only 2 hits
-        // against the hot session's 5.
-        engine.feed(1, &word("1#01")).expect("feed cold");
+        engine.feed(1, &word("1#01")).expect("feed last");
         {
             let shard = lock_recover(&engine.shards[0]);
-            let (_, &victim) = shard.order.iter().next().expect("two live sessions");
-            assert_eq!(victim, 1, "the cold session must head the eviction order");
+            let order: Vec<u64> = shard.order.values().copied().collect();
+            assert_eq!(order, [2, 1], "the less recently fed session goes first");
         }
         // flush_to_spill without an attached store is a loud no-op.
         assert_eq!(engine.flush_to_spill().expect("no store"), 0);
-    }
-
-    #[test]
-    fn gdsf_churn_is_outcome_identical_to_lru() {
-        let preds = [
-            StorePredicate::ContainsOne,
-            StorePredicate::IsEmpty,
-            StorePredicate::LengthEquals(4),
-            StorePredicate::AcceptAll,
-            StorePredicate::InLdisj,
-        ];
-        let fleet_of = || -> Vec<(u64, StoreEverything, Vec<Sym>)> {
-            (0..20u64)
-                .map(|i| {
-                    let w = word(["1#01", "", "0#1#", "1111", "0#0#1#"][i as usize % 5]);
-                    (i, store_session(preds[i as usize % 5]), w)
-                })
-                .collect()
-        };
-        let reference: Vec<(u64, RunOutcome)> = fleet_of()
-            .into_iter()
-            .map(|(id, d, w)| (id, run_decider(d, &w)))
-            .collect();
-        for policy in EvictionPolicy::ALL {
-            let engine = MuxEngine::new(MuxConfig {
-                live_bytes_budget: 96,
-                warm_bytes_budget: 1 << 20,
-                shards: 4,
-                eviction: policy,
-            });
-            let rows = run_fleet(&engine, fleet_of(), 2, 4).expect("fleet");
-            assert_eq!(rows, reference, "policy = {}", policy.name());
-            assert!(engine.stats().evictions > 0, "budget 96 must churn");
-        }
     }
 
     #[test]
@@ -900,7 +751,6 @@ mod tests {
             live_bytes_budget: 1 << 20,
             warm_bytes_budget: 1 << 20,
             shards: 2,
-            eviction: EvictionPolicy::default(),
         };
         let store = CheckpointStore::create_for::<StoreEverything>(&path).expect("create");
         let engine = MuxEngine::with_spill(config, store);
@@ -952,7 +802,6 @@ mod tests {
                 live_bytes_budget: 96,
                 warm_bytes_budget: 1 << 20,
                 shards: 4,
-                eviction: EvictionPolicy::default(),
             });
             let rows = run_fleet(&engine, fleet_of(), 2, workers).expect("fleet");
             assert_eq!(rows, reference, "workers = {workers}");

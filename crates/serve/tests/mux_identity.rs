@@ -108,7 +108,6 @@ fn mux_matches_direct_runs_across_budgets_orders_and_workers() {
                     live_bytes_budget: live_budget,
                     warm_bytes_budget: 1 << 30,
                     shards: 4,
-                    ..MuxConfig::default()
                 });
                 let got = run_interleaved(&engine, SEED, chunk, workers, order);
                 assert_eq!(
@@ -145,7 +144,6 @@ fn batched_feeds_at_every_cut_point_match_direct_runs() {
                 live_bytes_budget: live_budget,
                 warm_bytes_budget: 1 << 30,
                 shards: 4,
-                ..MuxConfig::default()
             });
             // One fresh session per (fleet entry, cut point); ids are
             // single-use, so each job gets its own.
@@ -211,7 +209,6 @@ fn mux_matches_direct_runs_through_the_spill_store() {
             live_bytes_budget: 0,
             warm_bytes_budget: 0,
             shards: 2,
-            ..MuxConfig::default()
         },
         store,
     );

@@ -26,7 +26,6 @@ fn tight_config() -> ServerConfig {
             live_bytes_budget: 2 << 10,
             warm_bytes_budget: 1 << 30,
             shards: 4,
-            ..MuxConfig::default()
         },
         ..ServerConfig::default()
     }

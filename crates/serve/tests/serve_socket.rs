@@ -30,7 +30,6 @@ fn tight_config(threads: usize, live_bytes_budget: usize) -> ServerConfig {
             live_bytes_budget,
             warm_bytes_budget: 1 << 30,
             shards: 4,
-            ..MuxConfig::default()
         },
         ..ServerConfig::default()
     }

@@ -14,9 +14,9 @@
 //!   instance via an atomic rename; a subsequent strict `open` + resume
 //!   is bit-exact, on all four backends.
 //! * **Robustness** — truncated files, bit-flipped bytes (anywhere:
-//!   header, record headers, checkpoint *and outcome* payloads — raw and
-//!   LZ4-compressed, in the current v3 format and the legacy v2 one),
-//!   unknown format versions, wrong decider-type tags, overflowed length
+//!   header, record headers, checkpoint *and outcome* payloads, raw and
+//!   LZ4-compressed), unknown format versions (the retired v2 layout
+//!   included), wrong decider-type tags, overflowed length
 //!   fields, trailing garbage and zero-length files all return typed
 //!   errors. No input panics, no input over-allocates, corrupted
 //!   compressed blocks never decompress to garbage, and `recover` always
@@ -36,8 +36,7 @@ use onlineq::lang::{random_member, random_nonmember, Sym};
 use onlineq::machine::session::{put_bytes, put_u64, ByteReader, CheckpointError};
 use onlineq::machine::{
     peek_header, BatchRunner, CheckpointStore, Checkpointable, RecordScanner, RunOutcome, Session,
-    SessionCheckpoint, StoreError, StreamingDecider, COMPRESS_MIN_LEN, STORE_MAGIC, STORE_VERSION,
-    STORE_VERSION_V2,
+    SessionCheckpoint, StoreError, StreamingDecider, COMPRESS_MIN_LEN, STORE_MAGIC,
 };
 use onlineq::quantum::{
     AdaptiveState, ParallelStateVector, QuantumBackend, SparseState, StateVector,
@@ -220,13 +219,12 @@ fn history_checkpoint_at(tokens: usize) -> SessionCheckpoint {
 /// record alongside the full ones.
 fn build_store_as(
     name: &str,
-    version: u8,
     tag: &str,
     checkpoint: &dyn Fn(usize) -> SessionCheckpoint,
     specs: &[(u64, usize)],
 ) -> (PathBuf, Vec<u64>) {
     let path = temp_path(name);
-    let mut store = CheckpointStore::create_with_version(&path, tag, version).expect("create");
+    let mut store = CheckpointStore::create(&path, tag).expect("create");
     let mut boundaries = vec![store.len_bytes()];
     for &(instance, tokens) in specs {
         store.append(instance, &checkpoint(tokens)).expect("append");
@@ -250,36 +248,22 @@ fn build_store_as(
     (path, boundaries)
 }
 
-/// The classic tiny store: v3, raw (sub-threshold) payloads.
+/// The classic tiny store: raw (sub-threshold) payloads.
 fn build_store(name: &str) -> (PathBuf, Vec<u64>) {
     build_store_as(
         name,
-        STORE_VERSION,
         TallyDecider::TYPE_TAG,
         &checkpoint_at,
         &[(0, 4), (1, 6), (0, 8), (2, 6)],
     )
 }
 
-/// A v3 store whose checkpoint payloads all clear the compression
+/// A store whose checkpoint payloads all clear the compression
 /// threshold — every full checkpoint record on disk is LZ4-compressed.
 fn build_store_compressed(name: &str) -> (PathBuf, Vec<u64>) {
     assert!(history_checkpoint_at(200).as_bytes().len() >= COMPRESS_MIN_LEN);
     build_store_as(
         name,
-        STORE_VERSION,
-        HistoryTally::TYPE_TAG,
-        &history_checkpoint_at,
-        &[(0, 200), (1, 300), (0, 400), (2, 300)],
-    )
-}
-
-/// The same record mix written by the legacy v2 writer (raw 8-byte
-/// length prefixes, no compression) — the read-only compatibility path.
-fn build_store_v2(name: &str) -> (PathBuf, Vec<u64>) {
-    build_store_as(
-        name,
-        STORE_VERSION_V2,
         HistoryTally::TYPE_TAG,
         &history_checkpoint_at,
         &[(0, 200), (1, 300), (0, 400), (2, 300)],
@@ -619,14 +603,17 @@ fn zero_length_and_foreign_files_are_not_stores() {
 fn unknown_store_and_checkpoint_versions_are_rejected() {
     let (path, _) = build_store("versions");
     let original = std::fs::read(&path).expect("read");
-    // Byte 8 is the store format version.
-    let mut bumped = original.clone();
-    bumped[STORE_MAGIC.len()] = 99;
-    std::fs::write(&path, &bumped).expect("write");
-    assert!(matches!(
-        CheckpointStore::open_for::<TallyDecider>(&path),
-        Err(StoreError::UnsupportedStoreVersion(99))
-    ));
+    // Byte 8 is the store format version: the retired v2 layout is
+    // refused like any other version this build does not write.
+    for version in [2u8, 99] {
+        let mut bumped = original.clone();
+        bumped[STORE_MAGIC.len()] = version;
+        std::fs::write(&path, &bumped).expect("write");
+        match CheckpointStore::open_for::<TallyDecider>(&path) {
+            Err(StoreError::UnsupportedStoreVersion(v)) => assert_eq!(v, version),
+            other => panic!("version {version}: expected UnsupportedStoreVersion, got {other:?}"),
+        }
+    }
     // Byte 9 is the checkpoint encoding version the payloads use.
     let mut bumped = original.clone();
     bumped[STORE_MAGIC.len() + 1] = 77;
@@ -664,8 +651,8 @@ fn workspace_and_decider_tag_mismatches_are_rejected() {
     cleanup(&path);
 }
 
-/// Walks every truncation point of `path` (raw, compressed or legacy-v2
-/// records alike): boundary cuts open as consistent shorter stores,
+/// Walks every truncation point of `path` (raw or compressed records
+/// alike): boundary cuts open as consistent shorter stores,
 /// mid-record cuts refuse strictly and salvage the longest valid prefix
 /// in one forward pass.
 fn truncation_walk(variant: &str, path: &PathBuf, boundaries: &[u64], tag: &str) {
@@ -725,8 +712,6 @@ fn every_truncation_point_errors_strictly_and_recovers_salvageably() {
     truncation_walk("raw", &path, &boundaries, TallyDecider::TYPE_TAG);
     let (path, boundaries) = build_store_compressed("truncate-lz4");
     truncation_walk("compressed", &path, &boundaries, HistoryTally::TYPE_TAG);
-    let (path, boundaries) = build_store_v2("truncate-v2");
-    truncation_walk("v2", &path, &boundaries, HistoryTally::TYPE_TAG);
 }
 
 /// Flips every byte of `path` in turn: strict open always refuses, and
@@ -779,8 +764,6 @@ fn every_single_byte_flip_is_detected_without_panicking() {
     bitflip_walk("raw", &path, &boundaries, TallyDecider::TYPE_TAG);
     let (path, boundaries) = build_store_compressed("bitflip-lz4");
     bitflip_walk("compressed", &path, &boundaries, HistoryTally::TYPE_TAG);
-    let (path, boundaries) = build_store_v2("bitflip-v2");
-    bitflip_walk("v2", &path, &boundaries, HistoryTally::TYPE_TAG);
 }
 
 #[test]
@@ -916,7 +899,7 @@ fn scanning_thousands_of_records_buffers_only_one_payload() {
         inner: file,
         bytes_read: 0,
     };
-    let mut scanner = RecordScanner::new(&mut counting, file_len, header.version, header.len);
+    let mut scanner = RecordScanner::new(&mut counting, file_len, header.len);
     let mut records = 0usize;
     while scanner.next_record().expect("clean log").is_some() {
         records += 1;
@@ -969,50 +952,6 @@ fn scanning_thousands_of_records_buffers_only_one_payload() {
     assert_eq!(report.salvaged_records, 2401);
     assert_eq!(report.scanned_records, report.salvaged_records + 1);
     assert!(store.peak_resident_payload_bytes() < 2 * big_len);
-    drop(store);
-    cleanup(&path);
-}
-
-/// Legacy v2 stores open read-only end to end: appends are typed
-/// `ReadOnly` errors, and one `compact` upgrades the file in place to a
-/// writable, compressed, strictly smaller v3 store with identical data.
-#[test]
-fn v2_stores_are_read_only_until_compaction_upgrades_them() {
-    let (path, _) = build_store_v2("upgrade");
-    let v2_bytes = std::fs::metadata(&path).expect("meta").len();
-    let mut store = CheckpointStore::open_for::<HistoryTally>(&path).expect("open v2");
-    assert_eq!(store.version(), STORE_VERSION_V2);
-    assert!(!store.is_writable());
-    assert!(matches!(
-        store.append(9, &history_checkpoint_at(123)),
-        Err(StoreError::ReadOnly { .. })
-    ));
-    // Instance 2 never finished, so its checkpoint must survive the
-    // upgrade bit-exactly (instances 0 and 1 keep only their outcomes).
-    let latest = store.latest(2).expect("latest").expect("instance 2");
-    assert_eq!(latest.position(), 300);
-    let report = store.compact().expect("upgrade");
-    assert_eq!(report.before.version, STORE_VERSION_V2);
-    assert_eq!(report.after.version, STORE_VERSION);
-    assert!(report.after.compressed_payloads > 0);
-    assert!(store.is_writable());
-    store
-        .append(9, &history_checkpoint_at(123))
-        .expect("writable now");
-    assert_eq!(
-        store.latest(2).expect("latest").expect("instance 2"),
-        latest,
-        "compaction upgrade preserves checkpoint bytes"
-    );
-    drop(store);
-    let v3_bytes = std::fs::metadata(&path).expect("meta").len();
-    assert!(
-        v3_bytes < v2_bytes,
-        "compressed v3 ({v3_bytes}) must undercut v2 ({v2_bytes})"
-    );
-    let store = CheckpointStore::open_for::<HistoryTally>(&path).expect("reopen");
-    assert_eq!(store.version(), STORE_VERSION);
-    assert_eq!(store.finished_instances(), 2);
     drop(store);
     cleanup(&path);
 }
