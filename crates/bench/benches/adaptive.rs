@@ -11,7 +11,7 @@
 //!   copies no longer uncompute the `h` branch, diffusion mixes the
 //!   branches, and the support grows past the threshold mid-stream —
 //!   `AdaptiveState` promotes and finishes on the parallel dense kernels
-//!   instead of merging a near-dense sorted support on every gate.
+//!   instead of pruning a near-dense block set after every gate.
 //!
 //! Each workload runs on all four backends. The interesting comparisons:
 //! `adaptive` vs `sparse` on the densifying stream (the promotion win)

@@ -504,6 +504,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range for 3 qubits")]
+    fn point_write_outside_the_register_panics() {
+        let mut s = AdaptiveState::zero(3);
+        s.store_amplitudes(&[(100, Complex::real(0.5))]);
+    }
+
+    #[test]
     fn reflect_handles_mixed_phases() {
         // psi dense (uniform), self sparse (basis): promotes and reflects.
         let psi = AdaptiveState::uniform(4);

@@ -1,66 +1,85 @@
-//! Sparse pure-state simulation: amplitudes keyed by basis index.
+//! Sparse pure-state simulation: amplitudes in occupied blocks.
 //!
-//! [`SparseState`] stores only (numerically) nonzero amplitudes, as one
-//! vector of `(basis index, amplitude)` pairs kept strictly sorted by
-//! index, so memory and per-gate time scale with the **support** of the
-//! state rather than the `2^n` dimension. This is exactly the structure
-//! the paper's procedure A3 exposes: its register `|i⟩|h⟩|l⟩` lives in a
-//! `2^{2k+2}`-dimensional space but every reachable state is supported on
-//! at most `2·2^{2k}` basis states (index register times the `h` branch;
-//! the `l` branch only populates during the marking round) — and
+//! [`SparseState`] stores a state as fixed-size blocks of `BLOCK_LEN`
+//! contiguous amplitudes, keeping only the blocks that hold a
+//! (numerically) nonzero amplitude, sorted by block index. Memory and
+//! per-gate time scale with the occupied blocks rather than the `2^n`
+//! dimension. This is exactly the structure the paper's procedure A3
+//! exposes: its register `|i⟩|h⟩|l⟩` lives in a `2^{2k+2}`-dimensional
+//! space but every reachable state is supported on at most `2·2^{2k}`
+//! basis states (index register times the `h` branch; the `l` branch only
+//! populates during the marking round), and
+//! [`GroverLayout`](crate::GroverLayout) puts the index `i` in the low
+//! `2k` qubits, so each `(h, l)` branch owns one contiguous quarter of
+//! the index space and its support fills whole blocks. The
 //! diagonal/permutation structured operators (`S_k`, `V_x`, `W_x`, `R_x`)
-//! never grow the support at all. Recognizers over `O(log n)` live qubits
-//! therefore run in support-proportional memory, and the per-bit
-//! streamed updates of [`GroverLayout`](crate::GroverLayout) touch at
-//! most four entries.
+//! never grow the support at all, so recognizers over `O(log n)` live
+//! qubits run in support-proportional memory.
 //!
-//! Every kernel is a linear pass over the sorted vector: a single-qubit
-//! gate merges the bit-clear entries with the bit-set entries keyed by
-//! their partner index, reflections, inner products and `add_scaled` are
-//! merge-joins of two sorted supports. Dense Hadamard sweeps (`U_k`)
-//! still cost `O(support · 2)` per qubit and can double the support, as
+//! Inside a block every amplitude sits at its dense offset, `+0.0` off
+//! the support, so the kernels are the dense backend's SIMD kernels: a
+//! single-qubit gate on a qubit below the block width runs
+//! [`simd::apply_single_run`] inside each block, one above it runs
+//! [`simd::apply_single_pairs`] across partner blocks (a missing partner
+//! is a zero block), and reflections and `add_scaled` run the dense axpy
+//! kernels over the union of two block sets. Every kernel output goes
+//! through one pruning rule — an amplitude whose squared magnitude falls
+//! to the eviction threshold is stored as `+0.0` — and a block left with
+//! no nonzero amplitude is dropped. Dense Hadamard sweeps (`U_k`) still
+//! touch every occupied block per qubit and can double the support, as
 //! they must — sparsity is a property of the states the workload
 //! reaches, not a universal speed-up.
 //!
-//! Point writes ([`QuantumBackend::store_amplitudes`], which the streamed
-//! `V_x`/`W_x`/`R_x` fragments use) go into a small vector in place. On a
-//! large one, inserting or evicting an entry would shift its tail,
-//! `O(support)` per streamed bit, so they go to a hash map of pending
-//! writes instead, which point reads consult first and the next kernel
-//! merges into the vector in one sort-and-merge pass — `O(log support)`
-//! amortized per write. Read-only passes over the support see the merged
-//! view. The cross-backend equivalence suite pins this backend to the
+//! Point reads and writes ([`QuantumBackend::store_amplitudes`], which the
+//! streamed `V_x`/`W_x`/`R_x` fragments use) find their block by index
+//! and address the amplitude inside it directly. A write into a missing
+//! block inserts a zero block; a write that empties a block leaves it for
+//! the next kernel to drop, so a streamed block of input never shifts the
+//! payload. The cross-backend equivalence suite pins this backend to the
 //! dense reference at fidelity `≥ 1 − 1e−9`.
 
 use crate::backend::QuantumBackend;
 use crate::complex::{Complex, ONE, ZERO};
 use crate::gate::Gate;
 use crate::matrix::Matrix;
+use crate::simd;
 use crate::snapshot::{SnapshotError, StateSnapshot};
 use crate::state::StateVector;
 use rand::Rng;
-use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// Amplitudes with squared magnitude below this are dropped from the
 /// support (well under every tolerance the workspace tests at, and far
 /// above f64 rounding noise accumulation over any circuit we run).
 pub const SPARSE_PRUNE_EPS: f64 = 1e-30;
 
-/// One stored amplitude: `(basis index, amplitude)`.
-type Entry = (usize, Complex);
+/// Log2 of the block length: 64 amplitudes, 1 KiB per block. A register
+/// narrower than this is one block of `2^n` amplitudes.
+const BLOCK_BITS: usize = 6;
 
-/// Largest vector that takes point writes in place. Up to here, shifting
-/// the tail on an insert or eviction costs less than hashing every point
-/// read and write into the pending map: A3 streams measured within 10%
-/// either way at support 1024 (`k = 5`) and faster in place at 256
-/// (`k = 4`); see DESIGN.md §2.
-const EAGER_WRITE_MAX_SUPPORT: usize = 512;
+/// Amplitudes per block.
+const BLOCK_LEN: usize = 1 << BLOCK_BITS;
 
-/// A pure quantum state storing only its nonzero amplitudes.
+// Blocks must tile the chunked reductions' blocks, so a reduction chunk
+// is a whole run of storage blocks.
+const _: () = assert!(crate::par::REDUCE_CHUNK.is_multiple_of(BLOCK_LEN));
+
+/// Where basis index `b` sits in the payload when its block is at
+/// position `p`. A register narrower than a block has the one block 0, so
+/// the full block width gives its block index and offset too.
+#[inline]
+fn slot(p: usize, b: usize) -> usize {
+    (p << BLOCK_BITS) | (b & (BLOCK_LEN - 1))
+}
+
+/// A block of zeros: what every kernel that pairs blocks reads for a
+/// missing one.
+const ZERO_BLOCK: [Complex; BLOCK_LEN] = [ZERO; BLOCK_LEN];
+
+/// A pure quantum state storing only the blocks of amplitudes that hold a
+/// nonzero one.
 ///
-/// The support is kept strictly sorted by basis index, so iteration —
-/// and therefore sampling, probability sums and `Debug` output — is
+/// Blocks are kept strictly sorted by block index, so iteration — and
+/// therefore sampling, probability sums and `Debug` output — is
 /// deterministic and visits the support in the dense backend's order.
 ///
 /// `prune_eps` is the squared-magnitude eviction threshold, normally
@@ -72,66 +91,90 @@ const EAGER_WRITE_MAX_SUPPORT: usize = 512;
 #[derive(Clone)]
 pub struct SparseState {
     n: usize,
-    /// Strictly increasing by index, every amplitude above `prune_eps`.
-    amps: Vec<Entry>,
-    /// Point writes not yet merged into `amps`: the latest value written
-    /// at each index, `None` where the write evicted a stored entry. Which
-    /// indices get written depends on the input stream, so the map keeps
-    /// the default hasher.
-    pending: HashMap<usize, Option<Complex>>,
-    /// Net number of entries `pending` adds to `amps` (negative: evicts).
-    pending_growth: isize,
+    /// Block indices (basis index `>> BLOCK_BITS`), strictly increasing.
+    keys: Vec<usize>,
+    /// Nonzero amplitudes in each block, parallel to `keys`.
+    counts: Vec<u32>,
+    /// The blocks' amplitudes, one run of the block length per key in key
+    /// order. Each is `+0.0` or has squared magnitude above `prune_eps`.
+    amps: Vec<Complex>,
+    /// Nonzero amplitudes over all blocks.
+    support: usize,
+    /// A point write has emptied a block since the last kernel. Kernels
+    /// drop empty blocks; point writes leave them, so streaming never
+    /// shifts the payload.
+    emptied: bool,
     prune_eps: f64,
 }
 
 impl SparseState {
-    /// Read-only view of the stored `(basis index, amplitude)` pairs in
+    /// Read-only view of the nonzero `(basis index, amplitude)` pairs in
     /// increasing index order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, Complex)> + '_ {
-        let view = self.view();
-        (0..view.len()).map(move |i| view[i])
+        let len = self.block_len();
+        self.blocks().flat_map(move |(key, block)| {
+            block
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| a != ZERO)
+                .map(move |(j, &a)| (key * len + j, a))
+        })
     }
 
-    /// Number of explicitly stored amplitudes — the same value as
+    /// Number of nonzero stored amplitudes — the same value as
     /// [`QuantumBackend::support`], exposed inherently so audit code can
     /// assert on it without importing the backend trait. This is the
-    /// number the pruning invariant bounds: every stored entry has
-    /// squared magnitude above [`SPARSE_PRUNE_EPS`].
+    /// number the pruning invariant bounds: every nonzero stored amplitude
+    /// has squared magnitude above [`SPARSE_PRUNE_EPS`].
     pub fn support_len(&self) -> usize {
-        self.amps
-            .len()
-            .checked_add_signed(self.pending_growth)
-            .expect("pending writes evict only stored entries")
+        self.support
     }
 
-    /// The representation-audit hook: panics if any stored amplitude has
-    /// been driven to (numerical) zero without being evicted — i.e. if
-    /// the support has silently grown past the state's true support — if
-    /// the entries are not in strictly increasing basis order, which
-    /// every kernel's merge and binary search relies on, or if the
-    /// support count disagrees with the entries. Pending point writes are
-    /// checked merged. The cross-backend equivalence suite calls this
-    /// after every operation it checks.
+    /// The representation-audit hook: panics unless the block invariants
+    /// hold. Block indices strictly increase, which every lookup and
+    /// merge relies on. Each stored amplitude is `+0.0` or above the
+    /// eviction threshold, so no amplitude driven to (numerical) zero
+    /// silently grows the support. The per-block counts and the support
+    /// count match the nonzero amplitudes. No empty block survives a
+    /// kernel. The cross-backend equivalence suite calls this after every
+    /// operation it checks.
     pub fn assert_support_pruned(&self) {
-        let view = self.view();
-        for &(b, a) in view.iter() {
+        for pair in self.keys.windows(2) {
             assert!(
-                a.norm_sqr() > self.prune_eps,
-                "unpruned zero amplitude retained at basis index {b}: {a:?}"
+                pair[0] < pair[1],
+                "blocks out of order: block {} stored before {}",
+                pair[0],
+                pair[1]
             );
         }
-        for pair in view.windows(2) {
+        assert_eq!(self.counts.len(), self.keys.len(), "one count per block");
+        assert_eq!(
+            self.amps.len(),
+            self.keys.len() * self.block_len(),
+            "one run of amplitudes per block"
+        );
+        let len = self.block_len();
+        let mut total = 0;
+        for ((key, block), &count) in self.blocks().zip(&self.counts) {
+            for (j, &a) in block.iter().enumerate() {
+                let placeholder = a.re.to_bits() == 0 && a.im.to_bits() == 0;
+                assert!(
+                    placeholder || a.norm_sqr() > self.prune_eps,
+                    "sub-threshold value left in a block at basis index {}: {a:?}",
+                    key * len + j
+                );
+            }
+            let nonzero = block.iter().filter(|&&a| a != ZERO).count();
+            assert_eq!(count as usize, nonzero, "count of block {key} is stale");
             assert!(
-                pair[0].0 < pair[1].0,
-                "support out of order: basis index {} stored before {}",
-                pair[0].0,
-                pair[1].0
+                nonzero > 0 || self.emptied,
+                "empty block {key} survived a kernel"
             );
+            total += nonzero;
         }
         assert_eq!(
-            self.support_len(),
-            view.len(),
-            "support count disagrees with the stored entries"
+            self.support, total,
+            "support count disagrees with the stored amplitudes"
         );
     }
 
@@ -164,182 +207,252 @@ impl SparseState {
         }
         // Decoding guarantees strictly increasing indices. Dense
         // encodings carry explicit zeros; keep exactly what the target
-        // mode's setters would have kept. The vector grows with what is
-        // kept, not with the encoding's length, which for a dense
-        // snapshot is the whole dimension.
-        let mut amps = Vec::new();
-        for (b, a) in dec.entries {
-            push_pruned(&mut amps, b, a, eps);
-        }
-        Ok(Self::from_sorted(dec.num_qubits, amps, eps))
+        // mode's setters would have kept, so the blocks follow what is
+        // kept, not the encoding's length, which for a dense snapshot is
+        // the whole dimension.
+        Ok(Self::from_sorted(dec.num_qubits, dec.entries, eps))
     }
 
-    /// A state over `n` qubits whose support is `amps`, which must be
-    /// strictly increasing by index and pruned at `prune_eps`.
-    fn from_sorted(n: usize, amps: Vec<Entry>, prune_eps: f64) -> Self {
-        SparseState {
+    /// A state over `n` qubits holding `entries` (strictly increasing by
+    /// index), each kept unless it falls to `prune_eps`.
+    fn from_sorted(
+        n: usize,
+        entries: impl IntoIterator<Item = (usize, Complex)>,
+        prune_eps: f64,
+    ) -> Self {
+        let mut s = SparseState {
             n,
-            amps,
-            pending: HashMap::new(),
-            pending_growth: 0,
+            keys: Vec::new(),
+            counts: Vec::new(),
+            amps: Vec::new(),
+            support: 0,
+            emptied: false,
             prune_eps,
+        };
+        let len = s.block_len();
+        for (b, a) in entries {
+            if a.norm_sqr() <= prune_eps {
+                continue;
+            }
+            let key = b >> BLOCK_BITS;
+            if s.keys.last() != Some(&key) {
+                s.keys.push(key);
+                s.counts.push(0);
+                s.amps.resize(s.amps.len() + len, ZERO);
+            }
+            let p = s.keys.len() - 1;
+            s.amps[slot(p, b)] = a;
+            s.counts[p] += 1;
+            s.support += 1;
         }
+        s
     }
 
     fn single(n: usize, b: usize) -> Self {
-        Self::from_sorted(n, vec![(b, ONE)], SPARSE_PRUNE_EPS)
+        Self::from_sorted(n, [(b, ONE)], SPARSE_PRUNE_EPS)
     }
 
-    /// Position of `b` in the sorted vector, pending writes aside
-    /// (`Err` holds its insertion point).
-    fn find(&self, b: usize) -> Result<usize, usize> {
-        self.amps.binary_search_by_key(&b, |&(i, _)| i)
+    /// Log2 of this register's block length.
+    #[inline]
+    fn block_bits(&self) -> usize {
+        self.n.min(BLOCK_BITS)
     }
 
-    /// A point write: applied to the vector while it is small, recorded
-    /// in `pending` otherwise.
-    fn set(&mut self, b: usize, a: Complex) {
-        use std::collections::hash_map::Entry::{Occupied, Vacant};
-        let keep = a.norm_sqr() > self.prune_eps;
-        let pos = self.find(b);
-        if self.pending.is_empty() && self.amps.len() <= EAGER_WRITE_MAX_SUPPORT {
-            match pos {
-                Ok(i) if keep => self.amps[i].1 = a,
-                Ok(i) => {
-                    self.amps.remove(i);
-                }
-                Err(i) if keep => self.amps.insert(i, (b, a)),
-                Err(_) => {}
-            }
-            return;
+    #[inline]
+    fn block_len(&self) -> usize {
+        1 << self.block_bits()
+    }
+
+    /// `(block index, amplitudes)` for every stored block, in order.
+    fn blocks(&self) -> impl Iterator<Item = (usize, &[Complex])> {
+        self.keys
+            .iter()
+            .copied()
+            .zip(self.amps.chunks_exact(self.block_len()))
+    }
+
+    /// The amplitudes of the block at position `p`.
+    #[inline]
+    fn block(&self, p: usize) -> &[Complex] {
+        let len = self.block_len();
+        &self.amps[p * len..(p + 1) * len]
+    }
+
+    /// Panics unless `b` is a basis index of this register.
+    #[inline]
+    fn check_index(&self, b: usize) {
+        // n ≤ 63, so the shift cannot overflow.
+        assert!(
+            b >> self.n == 0,
+            "basis index {b} out of range for {} qubits",
+            self.n
+        );
+    }
+
+    /// Position of block `key` (`Err` holds its insertion point). An A3
+    /// branch fills a whole run of consecutive blocks, so the block
+    /// usually sits `key − first key` places in; that slot is tried
+    /// first.
+    #[inline]
+    fn find(&self, key: usize) -> Result<usize, usize> {
+        let guess = key.wrapping_sub(self.keys.first().map_or(0, |&first| first));
+        match self.keys.get(guess) {
+            Some(&k) if k == key => Ok(guess),
+            _ => self.search(key),
         }
-        let in_amps = pos.is_ok();
-        // A write that neither keeps a value nor evicts one from the
-        // vector leaves no pending entry, so writes that come and go
-        // leave no trace behind.
-        let record = keep || in_amps;
-        let was_stored = match self.pending.entry(b) {
-            Occupied(mut slot) => {
-                let was_stored = slot.get().is_some();
-                if record {
-                    slot.insert(keep.then_some(a));
-                } else {
-                    slot.remove();
-                }
-                was_stored
+    }
+
+    /// [`Self::find`] past its first guess. A key past the last block
+    /// (the empty `l` branch, which every streamed `V_x` bit reads) is
+    /// answered at once. Keys strictly increase, so no key sits further
+    /// in than its distance from the first.
+    fn search(&self, key: usize) -> Result<usize, usize> {
+        match (self.keys.first(), self.keys.last()) {
+            (Some(&first), Some(&last)) if first <= key && key <= last => {
+                self.keys[..(key - first).min(self.keys.len())].binary_search(&key)
             }
-            Vacant(slot) => {
-                if record {
-                    slot.insert(keep.then_some(a));
-                }
-                in_amps
+            (Some(&first), _) if first <= key => Err(self.keys.len()),
+            _ => Err(0),
+        }
+    }
+
+    /// A point write, pruned by the usual rule.
+    #[inline]
+    fn set(&mut self, b: usize, a: Complex) {
+        self.check_index(b);
+        let keep = a.norm_sqr() > self.prune_eps;
+        let key = b >> BLOCK_BITS;
+        let p = match self.find(key) {
+            Ok(p) => p,
+            Err(_) if !keep => return,
+            Err(p) => {
+                let len = self.block_len();
+                self.keys.insert(p, key);
+                self.counts.insert(p, 0);
+                self.amps
+                    .splice(p * len..p * len, std::iter::repeat_n(ZERO, len));
+                p
             }
         };
-        self.pending_growth += isize::from(keep) - isize::from(was_stored);
-    }
-
-    /// The sorted vector with the pending writes merged in.
-    fn merged(&self) -> Vec<Entry> {
-        let mut writes: Vec<(usize, Option<Complex>)> =
-            self.pending.iter().map(|(&b, &a)| (b, a)).collect();
-        writes.sort_unstable_by_key(|&(b, _)| b);
-        let mut out = Vec::with_capacity(self.support_len());
-        for (b, joined) in merge_join(self.amps.iter().copied(), writes.into_iter()) {
-            match joined {
-                Joined::Left(a) | Joined::Right(Some(a)) | Joined::Both(_, Some(a)) => {
-                    out.push((b, a))
-                }
-                Joined::Right(None) | Joined::Both(_, None) => {}
+        let slot = &mut self.amps[slot(p, b)];
+        let was_stored = *slot != ZERO;
+        *slot = if keep { a } else { ZERO };
+        if keep != was_stored {
+            let count = &mut self.counts[p];
+            if keep {
+                *count += 1;
+                self.support += 1;
+            } else {
+                *count -= 1;
+                self.support -= 1;
+                self.emptied |= *count == 0;
             }
         }
-        out
     }
 
-    /// The support in increasing index order, pending writes included.
-    fn view(&self) -> Cow<'_, [Entry]> {
-        if self.pending.is_empty() {
-            Cow::Borrowed(&self.amps)
-        } else {
-            Cow::Owned(self.merged())
+    /// Inserts a zero block for every key of `new`, which must be strictly
+    /// increasing and hold no stored key.
+    fn insert_zero_blocks(&mut self, new: &[usize]) {
+        if new.is_empty() {
+            return;
         }
+        let len = self.block_len();
+        let total = self.keys.len() + new.len();
+        let mut keys = Vec::with_capacity(total);
+        let mut counts = Vec::with_capacity(total);
+        let mut amps = Vec::with_capacity(total * len);
+        let mut new = new.iter().copied().peekable();
+        for (p, &key) in self.keys.iter().enumerate() {
+            while let Some(k) = new.next_if(|&k| k < key) {
+                keys.push(k);
+                counts.push(0);
+                amps.extend_from_slice(&ZERO_BLOCK[..len]);
+            }
+            keys.push(key);
+            counts.push(self.counts[p]);
+            amps.extend_from_slice(self.block(p));
+        }
+        for k in new {
+            keys.push(k);
+            counts.push(0);
+            amps.extend_from_slice(&ZERO_BLOCK[..len]);
+        }
+        self.keys = keys;
+        self.counts = counts;
+        self.amps = amps;
     }
 
-    /// Merges the pending writes into the vector. Every kernel that
-    /// rewrites the vector starts here.
-    fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            self.amps = self.merged();
-            self.pending.clear();
-            self.pending_growth = 0;
+    /// Adds a zero block for every block `other` stores and this state
+    /// does not, so a kernel over both can walk this state's blocks.
+    fn cover(&mut self, other: &[usize]) {
+        let mut p = 0;
+        let mut missing = Vec::new();
+        for &k in other {
+            while p < self.keys.len() && self.keys[p] < k {
+                p += 1;
+            }
+            if self.keys.get(p) != Some(&k) {
+                missing.push(k);
+            }
         }
+        self.insert_zero_blocks(&missing);
+    }
+
+    /// Position in `keys` of every block of this state, or `None` where
+    /// `keys` lacks it; both key lists strictly increase.
+    fn match_blocks<'a>(&'a self, keys: &'a [usize]) -> impl Iterator<Item = Option<usize>> + 'a {
+        let mut q = 0;
+        self.keys.iter().map(move |&k| {
+            while q < keys.len() && keys[q] < k {
+                q += 1;
+            }
+            (keys.get(q) == Some(&k)).then_some(q)
+        })
+    }
+
+    /// The pruning rule over every block, which every kernel ends with:
+    /// an amplitude at or below `prune_eps` is stored as `+0.0`. Recounts
+    /// the blocks and the support and drops the blocks left empty.
+    fn prune(&mut self) {
+        let (eps, len) = (self.prune_eps, self.block_len());
+        let mut kept = 0;
+        self.support = 0;
+        for p in 0..self.keys.len() {
+            let mut count = 0u32;
+            for a in &mut self.amps[p * len..(p + 1) * len] {
+                // A select, not a branch: mid-sweep supports are full of
+                // exact zeros in no pattern a predictor could learn.
+                let keep = a.norm_sqr() > eps;
+                *a = if keep { *a } else { ZERO };
+                count += u32::from(keep);
+            }
+            if count == 0 {
+                continue;
+            }
+            if kept != p {
+                self.amps.copy_within(p * len..(p + 1) * len, kept * len);
+                self.keys[kept] = self.keys[p];
+            }
+            self.counts[kept] = count;
+            self.support += count as usize;
+            kept += 1;
+        }
+        self.keys.truncate(kept);
+        self.counts.truncate(kept);
+        self.amps.truncate(kept * len);
+        self.emptied = false;
     }
 
     /// The support scattered into a dense vector, exact `+0.0` elsewhere.
     fn scatter(&self) -> Vec<Complex> {
         assert!(self.n <= 28, "dense representation limited to 28 qubits");
         let mut amps = vec![ZERO; 1usize << self.n];
-        for &(b, a) in self.view().iter() {
-            amps[b] = a;
+        let len = self.block_len();
+        for (key, block) in self.blocks() {
+            amps[key * len..(key + 1) * len].copy_from_slice(block);
         }
         amps
     }
-}
-
-/// Appends `(b, a)` unless `a` falls to the eviction threshold `eps`.
-#[inline]
-fn push_pruned(out: &mut Vec<Entry>, b: usize, a: Complex, eps: f64) {
-    if a.norm_sqr() > eps {
-        out.push((b, a));
-    }
-}
-
-/// Where an index of a [`merge_join`] is stored.
-enum Joined<L, R> {
-    Left(L),
-    Right(R),
-    Both(L, R),
-}
-
-/// Merge-joins two index-keyed runs, each strictly increasing in index:
-/// every index of either, once, in increasing order, with its value(s).
-fn merge_join<L, R>(
-    left: impl Iterator<Item = (usize, L)>,
-    right: impl Iterator<Item = (usize, R)>,
-) -> impl Iterator<Item = (usize, Joined<L, R>)> {
-    let (mut left, mut right) = (left.peekable(), right.peekable());
-    std::iter::from_fn(move || {
-        let l = left.peek().map(|&(b, _)| b);
-        let r = right.peek().map(|&(b, _)| b);
-        match (l, r) {
-            (Some(l), Some(r)) if l == r => {
-                let (b, x) = left.next()?;
-                let (_, y) = right.next()?;
-                Some((b, Joined::Both(x, y)))
-            }
-            (Some(l), r) if r.is_none_or(|r| l < r) => {
-                left.next().map(|(b, x)| (b, Joined::Left(x)))
-            }
-            _ => right.next().map(|(b, y)| (b, Joined::Right(y))),
-        }
-    })
-}
-
-/// Merges two index-sorted runs with disjoint indices into `out`.
-fn merge_disjoint(out: &mut Vec<Entry>, a: &[Entry], b: &[Entry]) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].0 < b[j].0 {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 impl QuantumBackend for SparseState {
@@ -359,7 +472,7 @@ impl QuantumBackend for SparseState {
         assert!(n <= 28, "a uniform state is dense; limited to 28 qubits");
         let len = 1usize << n;
         let amp = Complex::real(1.0 / (len as f64).sqrt());
-        Self::from_sorted(n, (0..len).map(|b| (b, amp)).collect(), SPARSE_PRUNE_EPS)
+        Self::from_sorted(n, (0..len).map(|b| (b, amp)), SPARSE_PRUNE_EPS)
     }
 
     fn from_amplitudes(amps: Vec<Complex>) -> Self {
@@ -374,11 +487,11 @@ impl QuantumBackend for SparseState {
             "cannot normalize the zero vector"
         );
         let inv = 1.0 / norm;
-        let mut support = Vec::new();
-        for (b, a) in amps.into_iter().enumerate() {
-            push_pruned(&mut support, b, a.scale(inv), SPARSE_PRUNE_EPS);
-        }
-        Self::from_sorted(n, support, SPARSE_PRUNE_EPS)
+        Self::from_sorted(
+            n,
+            amps.into_iter().enumerate().map(|(b, a)| (b, a.scale(inv))),
+            SPARSE_PRUNE_EPS,
+        )
     }
 
     fn num_qubits(&self) -> usize {
@@ -386,15 +499,13 @@ impl QuantumBackend for SparseState {
     }
 
     fn support(&self) -> usize {
-        self.support_len()
+        self.support
     }
 
     fn amp(&self, b: usize) -> Complex {
-        debug_assert!(b < (1usize << self.n));
-        match self.pending.get(&b) {
-            Some(written) => written.unwrap_or(ZERO),
-            None => self.find(b).map_or(ZERO, |i| self.amps[i].1),
-        }
+        self.check_index(b);
+        self.find(b >> BLOCK_BITS)
+            .map_or(ZERO, |p| self.amps[slot(p, b)])
     }
 
     fn norm(&self) -> f64 {
@@ -407,28 +518,29 @@ impl QuantumBackend for SparseState {
     }
 
     fn normalize(&mut self) {
-        self.flush();
         let norm = self.norm();
         assert!(
             norm > crate::state::STATE_EPS,
             "cannot normalize the zero vector"
         );
-        let s = 1.0 / norm;
-        for (_, a) in &mut self.amps {
-            *a = a.scale(s);
-        }
+        // The dense kernel: `+0.0` scales to `+0.0`.
+        simd::scale(&mut self.amps, 1.0 / norm);
     }
 
     fn inner(&self, other: &Self) -> Complex {
         assert_eq!(self.n, other.n, "qubit count mismatch");
         // Terms over the common support, summed in increasing index
         // order: conj(self_b) · other_b.
-        merge_join(self.entries(), other.entries())
-            .filter_map(|(_, joined)| match joined {
-                Joined::Both(a, o) => Some(a.conj() * o),
-                _ => None,
-            })
-            .sum()
+        let mut sum = ZERO;
+        for (p, q) in self.match_blocks(&other.keys).enumerate() {
+            let Some(q) = q else { continue };
+            for (&a, &o) in self.block(p).iter().zip(other.block(q)) {
+                if a != ZERO && o != ZERO {
+                    sum += a.conj() * o;
+                }
+            }
+        }
+        sum
     }
 
     fn to_dense(&self) -> StateVector {
@@ -478,58 +590,75 @@ impl QuantumBackend for SparseState {
     fn apply_single(&mut self, q: usize, m: &Matrix) {
         assert!(q < self.n, "qubit {q} out of range for {} qubits", self.n);
         assert_eq!((m.rows(), m.cols()), (2, 2), "expected 2x2 matrix");
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        let bit = 1usize << q;
-        let eps = self.prune_eps;
-        self.flush();
-        // Pairs (lo, lo | bit) in increasing lo order: the bit-clear
-        // entries keyed by their own index, joined with the bit-set
-        // entries keyed by their partner index — both subsequences are
-        // already sorted by that key. The lo and hi outputs come out
-        // sorted separately and are merged back into one support.
-        let clear = self.amps.iter().copied().filter(|&(b, _)| b & bit == 0);
-        let partners = self
-            .amps
-            .iter()
-            .filter(|&&(b, _)| b & bit != 0)
-            .map(|&(b, a)| (b ^ bit, a));
-        let mut los = Vec::with_capacity(self.amps.len());
-        let mut his = Vec::with_capacity(self.amps.len());
-        for (lo, joined) in merge_join(clear, partners) {
-            let (v0, v1) = match joined {
-                Joined::Both(a0, a1) => (m00 * a0 + m01 * a1, m10 * a0 + m11 * a1),
-                // The absent partner still enters as ZERO: dropping the
-                // term could flip the sign of a zero component, and
-                // snapshots store those bits.
-                Joined::Left(a0) => (m00 * a0 + m01 * ZERO, m10 * a0 + m11 * ZERO),
-                // The pair has no low-index entry.
-                Joined::Right(a1) => (m01 * a1, m11 * a1),
-            };
-            push_pruned(&mut los, lo, v0, eps);
-            push_pruned(&mut his, lo | bit, v1, eps);
+        let bits = self.block_bits();
+        if q < bits {
+            // Every pair lies inside one block, and every block is a
+            // whole number of pair runs: one dense sweep over the payload.
+            simd::apply_single_run(&mut self.amps, 1 << q, m);
+        } else {
+            // Pairs span partner blocks `key` and `key | kbit`. Give every
+            // block its partner (zeros where none is stored), then run the
+            // dense pair kernel across each lo/hi block pair. The partners
+            // of the bit-clear keys increase with the key, as do those of
+            // the bit-set keys: one forward cursor each.
+            let kbit = 1usize << (q - bits);
+            let mut cursors = [0usize; 2];
+            let mut missing = Vec::new();
+            for &k in &self.keys {
+                let partner = k ^ kbit;
+                let c = &mut cursors[usize::from(k & kbit != 0)];
+                while *c < self.keys.len() && self.keys[*c] < partner {
+                    *c += 1;
+                }
+                if self.keys.get(*c) != Some(&partner) {
+                    missing.push(partner);
+                }
+            }
+            missing.sort_unstable();
+            self.insert_zero_blocks(&missing);
+            let len = self.block_len();
+            let mut hi = 0;
+            for lo in 0..self.keys.len() {
+                let key = self.keys[lo];
+                if key & kbit != 0 {
+                    continue;
+                }
+                while self.keys[hi] != key | kbit {
+                    hi += 1;
+                }
+                let (los, his) = self.amps.split_at_mut(hi * len);
+                simd::apply_single_pairs(&mut los[lo * len..(lo + 1) * len], &mut his[..len], m);
+            }
         }
-        merge_disjoint(&mut self.amps, &los, &his);
+        self.prune();
     }
 
     fn phase_if<F: Fn(usize) -> bool + Sync>(&mut self, pred: F, phase: Complex) {
-        // Diagonal: zero amplitudes stay zero, so only the support moves.
-        self.flush();
-        for (b, a) in &mut self.amps {
-            if pred(*b) {
-                *a *= phase;
+        // Diagonal: the support cannot grow, so only the stored blocks
+        // are visited.
+        let len = self.block_len();
+        for (&key, block) in self.keys.iter().zip(self.amps.chunks_exact_mut(len)) {
+            for (j, a) in block.iter_mut().enumerate() {
+                if pred(key * len + j) {
+                    *a *= phase;
+                }
             }
         }
+        self.prune();
     }
 
     fn permute_in_place<F: Fn(usize) -> usize>(&mut self, f: F) {
         // A permutation re-keys the support without changing its size.
-        self.flush();
-        for entry in &mut self.amps {
-            let t = f(entry.0);
-            debug_assert_eq!(f(t), entry.0, "permutation must be an involution");
-            entry.0 = t;
-        }
-        self.amps.sort_unstable_by_key(|&(b, _)| b);
+        let mut moved: Vec<(usize, Complex)> = self
+            .entries()
+            .map(|(b, a)| {
+                let t = f(b);
+                debug_assert_eq!(f(t), b, "permutation must be an involution");
+                (t, a)
+            })
+            .collect();
+        moved.sort_unstable_by_key(|&(b, _)| b);
+        *self = Self::from_sorted(self.n, moved, self.prune_eps);
     }
 
     fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
@@ -540,37 +669,30 @@ impl QuantumBackend for SparseState {
 
     fn reflect_about(&mut self, psi: &Self) {
         assert_eq!(self.n, psi.n, "qubit count mismatch");
-        self.flush();
         let overlap = psi.inner(self);
-        let two_overlap = overlap * 2.0;
-        // s ← 2⟨ψ|s⟩·ψ − s over the union of supports.
-        let eps = self.prune_eps;
-        let mut next = Vec::with_capacity(psi.support_len().max(self.amps.len()));
-        for (b, joined) in merge_join(psi.entries(), self.amps.iter().copied()) {
-            let v = match joined {
-                Joined::Both(p, a) => two_overlap * p - a,
-                Joined::Left(p) => two_overlap * p - ZERO,
-                Joined::Right(a) => -a,
-            };
-            push_pruned(&mut next, b, v, eps);
+        // s ← 2⟨ψ|s⟩·ψ − s over the union of the two block sets.
+        self.cover(&psi.keys);
+        let len = self.block_len();
+        let partners: Vec<Option<usize>> = self.match_blocks(&psi.keys).collect();
+        for (dst, q) in self.amps.chunks_exact_mut(len).zip(partners) {
+            let p = q.map_or(&ZERO_BLOCK[..len], |q| psi.block(q));
+            simd::reflect_about(dst, p, overlap);
         }
-        self.amps = next;
+        self.prune();
     }
 
     fn add_scaled(&mut self, other: &Self, coeff: Complex) {
         assert_eq!(self.n, other.n, "qubit count mismatch");
-        // Entries only `self` holds are left untouched (and unpruned).
-        let eps = self.prune_eps;
-        self.flush();
-        let mut next = Vec::with_capacity(self.amps.len() + other.support_len());
-        for (b, joined) in merge_join(self.amps.iter().copied(), other.entries()) {
-            match joined {
-                Joined::Left(a) => next.push((b, a)),
-                Joined::Both(a, o) => push_pruned(&mut next, b, a + coeff * o, eps),
-                Joined::Right(o) => push_pruned(&mut next, b, ZERO + coeff * o, eps),
+        // Blocks only `self` holds are left untouched.
+        self.cover(&other.keys);
+        let len = self.block_len();
+        let partners: Vec<Option<usize>> = self.match_blocks(&other.keys).collect();
+        for (dst, q) in self.amps.chunks_exact_mut(len).zip(partners) {
+            if let Some(q) = q {
+                simd::add_scaled(dst, other.block(q), coeff);
             }
         }
-        self.amps = next;
+        self.prune();
     }
 
     fn prob_one(&self, q: usize) -> f64 {
@@ -605,9 +727,15 @@ impl QuantumBackend for SparseState {
 
     fn collapse_qubit(&mut self, q: usize, outcome: u8) {
         let mask = 1usize << q;
-        self.flush();
-        self.amps
-            .retain(|&(b, _)| u8::from(b & mask != 0) == outcome);
+        let len = self.block_len();
+        for (&key, block) in self.keys.iter().zip(self.amps.chunks_exact_mut(len)) {
+            for (j, a) in block.iter_mut().enumerate() {
+                if u8::from((key * len + j) & mask != 0) != outcome {
+                    *a = ZERO;
+                }
+            }
+        }
+        self.prune();
         self.normalize();
     }
 
@@ -617,44 +745,52 @@ impl QuantumBackend for SparseState {
         // variate lands in. Off-support terms are `+0.0` in both the
         // block sums and the walk, so every skip/return decision is
         // bitwise identical to the dense backend's and the same random
-        // variate yields the same sample. A block with no support has
-        // mass `+0.0` and can never be returned from, so the scan starts
-        // each step at the block of the next stored entry.
+        // variate yields the same sample. A reduction block with no
+        // stored block has mass `+0.0` and can never be returned from, so
+        // the scan visits only the runs of stored blocks.
         let mut u: f64 = rng.gen();
-        let chunk = crate::par::REDUCE_CHUNK;
-        let view = self.view();
-        let mut rest = &view[..];
-        while let Some(&(first, _)) = rest.first() {
-            let end = (first / chunk + 1) * chunk;
-            let (block, tail) = rest.split_at(rest.partition_point(|&(b, _)| b < end));
-            rest = tail;
+        let len = self.block_len();
+        let chunk_of = |key: usize| key * len / crate::par::REDUCE_CHUNK;
+        let mut rest = &self.keys[..];
+        let mut first = 0;
+        while let Some(&key) = rest.first() {
+            let run = rest.partition_point(|&k| chunk_of(k) == chunk_of(key));
+            let slots = &self.amps[first * len..(first + run) * len];
+            let indices = rest[..run]
+                .iter()
+                .flat_map(|&k| k * len..(k + 1) * len)
+                .zip(slots);
+            rest = &rest[run..];
+            first += run;
             let mut lanes = [0.0f64; crate::par::REDUCE_LANES];
-            for &(b, a) in block {
+            for (b, a) in indices.clone() {
                 // Block bases are multiples of the lane count, so the
                 // global index selects the same lane as the in-block one.
                 lanes[b & (crate::par::REDUCE_LANES - 1)] += a.norm_sqr();
             }
-            let s = crate::simd::scalar::fold_lanes(lanes);
+            let s = simd::scalar::fold_lanes(lanes);
             if u > s {
                 u -= s;
                 continue;
             }
-            for &(b, a) in block {
+            for (b, &a) in indices {
+                if a == ZERO {
+                    continue;
+                }
                 u -= a.norm_sqr();
                 if u <= 0.0 {
                     return b;
                 }
             }
         }
-        view.last().map_or(0, |&(b, _)| b)
+        self.entries().last().map_or(0, |(b, _)| b)
     }
 }
 
-/// Equal states: the same width, eviction threshold and support, however
-/// much of it is still pending.
+/// Equal states: the same width, eviction threshold and support.
 impl PartialEq for SparseState {
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.prune_eps == other.prune_eps && self.view() == other.view()
+        self.n == other.n && self.prune_eps == other.prune_eps && self.entries().eq(other.entries())
     }
 }
 
@@ -663,8 +799,7 @@ impl std::fmt::Debug for SparseState {
         writeln!(
             f,
             "SparseState({} qubits, support {}) [",
-            self.n,
-            self.support_len()
+            self.n, self.support
         )?;
         for (b, a) in self.entries() {
             if !a.is_approx_zero(1e-12) {
@@ -678,6 +813,7 @@ impl std::fmt::Debug for SparseState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::structured::GroverLayout;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -696,10 +832,11 @@ mod tests {
 
     #[test]
     fn zero_beyond_dense_limit_is_cheap() {
-        // The whole point of the sparse backend: 50 "qubits" cost one entry.
+        // The whole point of the sparse backend: 50 "qubits" cost one block.
         let s = SparseState::zero(50);
         assert_eq!(s.support(), 1);
         assert_eq!(s.num_qubits(), 50);
+        assert_eq!(s.keys.len(), 1);
     }
 
     #[test]
@@ -763,6 +900,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range for 3 qubits")]
+    fn point_write_outside_the_register_panics() {
+        let mut s = SparseState::zero(3);
+        s.store_amplitudes(&[(100, Complex::real(0.5))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 3 qubits")]
+    fn point_read_outside_the_register_panics() {
+        let _ = SparseState::zero(3).amp(8);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot normalize")]
     fn collapse_impossible_outcome_panics() {
         let mut s = SparseState::zero(2);
@@ -798,6 +948,20 @@ mod tests {
     }
 
     #[test]
+    fn sample_basis_matches_dense_across_blocks() {
+        // Two far-apart blocks in different reduction chunks: the same
+        // variates must land on the same basis states as the dense scan.
+        let mut s = SparseState::zero(14);
+        s.apply_hadamard_all(&[0, 7, 13]);
+        let d = s.densify_exact();
+        for seed in 0..200 {
+            let sparse = s.sample_basis(&mut StdRng::seed_from_u64(seed));
+            let dense = d.sample_basis(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(sparse, dense, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn inner_product_over_disjoint_support_is_zero() {
         let a = SparseState::basis(4, 3);
         let b = SparseState::basis(4, 12);
@@ -827,10 +991,9 @@ mod tests {
     /// Seeded sweep against a dense model of the pruning rule: point
     /// writes (repeats, evictions, zeros on absent indices, values under
     /// the threshold) interleaved with reads, snapshots and a kernel that
-    /// merges pending writes. Every read must see the latest write.
-    /// Returns whether any write went to the pending map.
-    fn check_point_writes(n: usize, hadamards: &[usize], seeds: u64) -> bool {
-        let mut used_pending = false;
+    /// drops the blocks the writes emptied. Every read must see the
+    /// latest write.
+    fn check_point_writes(n: usize, hadamards: &[usize], seeds: u64) {
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(0x9E4D + seed);
             let mut s = SparseState::zero(n);
@@ -838,14 +1001,15 @@ mod tests {
             let mut model = s.scatter();
             for step in 0..200 {
                 if step % 37 == 36 {
-                    // A diagonal kernel: merges, then negates odd indices.
+                    // A diagonal kernel: negates odd indices, then drops
+                    // every empty block.
                     s.phase_if(|b| b % 2 == 1, -ONE);
                     for (b, a) in model.iter_mut().enumerate() {
                         if b % 2 == 1 {
                             *a *= -ONE;
                         }
                     }
-                    assert!(s.pending.is_empty());
+                    assert!(s.counts.iter().all(|&c| c > 0));
                 } else {
                     let b = rng.gen_range(0..1usize << n);
                     let a = match rng.gen_range(0u8..4) {
@@ -859,10 +1023,9 @@ mod tests {
                     } else {
                         ZERO
                     };
-                    used_pending |= !s.pending.is_empty();
                 }
                 s.assert_support_pruned();
-                let stored: Vec<Entry> = model
+                let stored: Vec<(usize, Complex)> = model
                     .iter()
                     .copied()
                     .enumerate()
@@ -876,29 +1039,30 @@ mod tests {
                 assert_eq!(SparseState::restore(&s.snapshot()).unwrap(), s);
             }
         }
-        used_pending
     }
 
     #[test]
     fn point_writes_read_like_stored_amplitudes() {
-        // A small register takes every write in place.
-        assert!(!check_point_writes(5, &[0, 2], 20));
-        // One at the in-place limit: inserts push it past the limit into
-        // the pending map, and evictions merged by the kernel bring it
-        // back.
-        let limit_qubits = EAGER_WRITE_MAX_SUPPORT.trailing_zeros() as usize;
-        let hadamards: Vec<usize> = (0..limit_qubits).collect();
-        assert!(check_point_writes(limit_qubits + 1, &hadamards, 4));
+        // A register narrower than one block.
+        check_point_writes(5, &[0, 2], 20);
+        // Hadamards on both sides of the block boundary: writes land in,
+        // next to and far from the stored blocks.
+        check_point_writes(10, &[1, 5, 6, 8], 8);
     }
 
     #[test]
     fn restoring_a_dense_snapshot_allocates_only_the_support() {
         // A dense encoding carries all 2^12 amplitudes; the restored
-        // vector must not be sized by it.
+        // state must hold one block, not the encoding's length.
         let snap = StateVector::basis(12, 1234).snapshot();
         let s = SparseState::restore(&snap).unwrap();
         assert_eq!(s.entries().collect::<Vec<_>>(), vec![(1234, ONE)]);
-        assert!(s.amps.capacity() <= 4, "capacity {}", s.amps.capacity());
+        assert_eq!(s.keys, vec![1234 >> BLOCK_BITS]);
+        assert!(
+            s.amps.capacity() <= BLOCK_LEN,
+            "capacity {}",
+            s.amps.capacity()
+        );
     }
 
     #[test]
@@ -914,7 +1078,8 @@ mod tests {
     fn interference_evicts_cancelled_amplitudes() {
         // H on a fresh |0⟩ qubit doubles the support; a second H cancels
         // the |1⟩ branch to an exact floating-point zero, which must be
-        // *evicted*, not retained as a stored zero.
+        // *evicted*, not retained as a stored zero — and the partner
+        // blocks the first H created must go with it.
         let mut s = SparseState::zero(8);
         s.apply_gate(&Gate::H(0));
         s.apply_gate(&Gate::T(0));
@@ -923,11 +1088,14 @@ mod tests {
             target: 1,
         });
         let before = s.support_len();
-        s.apply_gate(&Gate::H(5));
-        assert_eq!(s.support_len(), 2 * before);
-        s.apply_gate(&Gate::H(5));
-        assert_eq!(s.support_len(), before, "cancelled branch not evicted");
-        s.assert_support_pruned();
+        for q in [5, 7] {
+            s.apply_gate(&Gate::H(q));
+            assert_eq!(s.support_len(), 2 * before);
+            s.apply_gate(&Gate::H(q));
+            assert_eq!(s.support_len(), before, "cancelled branch not evicted");
+            assert_eq!(s.keys, vec![0]);
+            s.assert_support_pruned();
+        }
     }
 
     #[test]
@@ -947,15 +1115,47 @@ mod tests {
     }
 
     #[test]
+    fn kernels_over_two_block_sets_match_dense() {
+        // `self` and `other` each hold a block the other lacks.
+        let mut a = SparseState::zero(8);
+        a.apply_hadamard_all(&[0, 7]);
+        let mut b = SparseState::basis(8, 70);
+        b.apply_hadamard_all(&[1, 6]);
+        let (da, db) = (a.densify_exact(), b.densify_exact());
+        let coeff = Complex::new(0.25, -0.5);
+        for (sparse, dense) in [
+            {
+                let (mut s, mut d) = (a.clone(), da.clone());
+                s.add_scaled(&b, coeff);
+                d.add_scaled(&db, coeff);
+                (s, d)
+            },
+            {
+                let (mut s, mut d) = (a.clone(), da.clone());
+                s.reflect_about(&b);
+                d.reflect_about(&db);
+                (s, d)
+            },
+        ] {
+            sparse.assert_support_pruned();
+            for (x, y) in sparse.scatter().iter().zip(dense.amplitudes()) {
+                assert!(x.re == y.re && x.im == y.im, "{x:?} vs {y:?}");
+            }
+        }
+        assert_eq!(a.inner(&b), a.densify_exact().inner(&db));
+    }
+
+    #[test]
     fn prop_uncomputed_circuits_shrink_support_to_one() {
         // Property (seeded sweep): running a random circuit and then its
         // exact inverse must return the support to a single basis state —
         // every amplitude the forward pass populated is driven back below
         // the prune threshold and evicted. The invariant hook is checked
-        // after every gate.
+        // after every gate. Eight qubits put two of them above the block
+        // width.
         for seed in 0..25u64 {
             let mut rng = StdRng::seed_from_u64(0xE71C + seed);
-            let n = 5;
+            let n = 8;
             let mut s = SparseState::zero(n);
             let gates: Vec<Gate> = (0..10)
                 .map(|_| {
@@ -992,24 +1192,26 @@ mod tests {
                 1,
                 "seed {seed}: uncompute left residue in the support"
             );
+            assert_eq!(s.keys.len(), 1, "seed {seed}: an empty block survived");
         }
     }
 
     #[test]
-    #[should_panic(expected = "unpruned zero amplitude")]
+    #[should_panic(expected = "sub-threshold value left in a block")]
     fn audit_hook_catches_a_stored_zero() {
         let mut s = SparseState::uniform(2);
-        // Bypass the pruned setter to simulate a backend bug.
-        s.amps[3].1 = Complex::real(0.0);
+        // Bypass the pruning rule to simulate a backend bug: a numerically
+        // zero amplitude kept instead of stored as `+0.0`.
+        s.amps[3] = Complex::real(1e-40);
         s.assert_support_pruned();
     }
 
     #[test]
-    #[should_panic(expected = "support out of order")]
+    #[should_panic(expected = "blocks out of order")]
     fn audit_hook_catches_an_out_of_order_entry() {
-        let mut s = SparseState::uniform(2);
+        let mut s = SparseState::uniform(7);
         // Bypass the sorted kernels to simulate a backend bug.
-        s.amps.swap(1, 2);
+        s.keys.swap(0, 1);
         s.assert_support_pruned();
     }
 
@@ -1022,5 +1224,81 @@ mod tests {
         assert!((p[0] - 0.5).abs() < EPS);
         assert!((p[2] - 0.5).abs() < EPS);
         assert!(p[1].abs() < EPS);
+    }
+
+    /// A streamed A3 fragment: one input bit at one index.
+    type BitOp = fn(&GroverLayout, &mut SparseState, usize, bool);
+
+    /// Streams A3's op sequence — two rounds of `V_x`, `W_y`, `V_x` bit by
+    /// bit plus the diffusion, then the marking round's `V_x` and `R_y` —
+    /// and returns the peak block payload over the sorted vector's
+    /// `(index, amplitude)` bytes at the peak support.
+    fn peak_payload_ratio(k: u32, x: &[bool], y: &[bool]) -> f64 {
+        let layout = GroverLayout::for_k(k);
+        let mut s: SparseState = layout.phi_in();
+        let (mut peak_blocks, mut peak_support) = (0, 0);
+        let mut record = |s: &SparseState| {
+            s.assert_support_pruned();
+            peak_blocks = peak_blocks.max(s.keys.len());
+            peak_support = peak_support.max(s.support());
+        };
+        record(&s);
+        for _ in 0..2 {
+            for (bits, op) in [
+                (x, GroverLayout::apply_vx_bit as BitOp),
+                (y, GroverLayout::apply_wx_bit),
+                (x, GroverLayout::apply_vx_bit),
+            ] {
+                for (i, &bit) in bits.iter().enumerate() {
+                    op(&layout, &mut s, i, bit);
+                    record(&s);
+                }
+            }
+            layout.apply_uk(&mut s);
+            layout.apply_sk(&mut s);
+            layout.apply_uk(&mut s);
+            record(&s);
+        }
+        for (bits, op) in [
+            (x, GroverLayout::apply_vx_bit as BitOp),
+            (y, GroverLayout::apply_rx_bit),
+        ] {
+            for (i, &bit) in bits.iter().enumerate() {
+                op(&layout, &mut s, i, bit);
+                record(&s);
+            }
+        }
+        let block_bytes = peak_blocks * s.block_len() * std::mem::size_of::<Complex>();
+        block_bytes as f64 / (peak_support * 24) as f64
+    }
+
+    #[test]
+    fn a3_block_payload_stays_near_the_sorted_vector() {
+        for k in [4u32, 6] {
+            let m = GroverLayout::for_k(k).domain();
+            let mut rng = StdRng::seed_from_u64(0xB10C + u64::from(k));
+            // `deep`'s shapes: x and y of density 1/3, disjoint...
+            let (mut x, mut y) = (vec![false; m], vec![false; m]);
+            for i in 0..m {
+                match rng.gen_range(0..3) {
+                    0 => {}
+                    1 => x[i] = true,
+                    _ => y[i] = true,
+                }
+            }
+            let member = peak_payload_ratio(k, &x, &y);
+            assert!(member <= 1.5, "k = {k}: member word at {member}x");
+            // ...or with one intersection...
+            let t = rng.gen_range(0..m);
+            x[t] = true;
+            y[t] = true;
+            let one = peak_payload_ratio(k, &x, &y);
+            assert!(one <= 2.0, "k = {k}: one intersection at {one}x");
+            // ...and the bench's uniformly random words.
+            let x: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
+            let y: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
+            let random = peak_payload_ratio(k, &x, &y);
+            assert!(random <= 2.0, "k = {k}: random word at {random}x");
+        }
     }
 }

@@ -18,10 +18,11 @@
 //!
 //! * **block mode** — the whole bit-string `x` is known; one `O(2^n)` pass;
 //! * **bit mode** — one input bit `x_i` at a time, touching only the four
-//!   amplitudes whose index part equals `i`: `O(1)` per streamed symbol on
-//!   the dense backends, `O(log support)` amortized on the sparse one
-//!   (see [`crate::sparse`]). This is what makes the online simulation of
-//!   procedure A3 run in time (near-)linear in the input length.
+//!   amplitudes whose index part equals `i`: an index per amplitude on
+//!   the dense backends, a block lookup on the sparse one (see
+//!   [`crate::sparse`]; a whole A3 round measures 1.0–1.5× the dense time
+//!   at `k = 4, 6, 8`, DESIGN.md §2). This is what makes the online
+//!   simulation of procedure A3 run in time linear in the input length.
 
 use crate::backend::QuantumBackend;
 use crate::complex::ONE;

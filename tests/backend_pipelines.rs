@@ -386,8 +386,12 @@ fn quantum_kinds_reproduce_golden_outcomes() {
                 random_nonmember(3, 1 + seed as usize % 3, &mut rng).encode(),
             ));
         }
+        // `deep`'s two k = 4 shapes: a member, whose diffusion collapses
+        // the support to one entry, and a non-member, which keeps the
+        // full 256-entry support through every round.
         let mut rng = StdRng::seed_from_u64(4);
         words.push((4, random_member(4, &mut rng).encode()));
+        words.push((4, random_nonmember(4, 1, &mut rng).encode()));
         for (id, (seed, word)) in words.into_iter().enumerate() {
             let out = run_decider_stream(kind.build(seed), word);
             lines.push(format!("{} {}", kind.name(), outcome_line(id as u64, &out)));
@@ -407,61 +411,73 @@ const GOLDEN_OUTCOMES: &[&str] = &[
     "complement-dense OUTCOME 2 0 92 8 256",
     "complement-dense OUTCOME 3 1 92 8 256",
     "complement-dense OUTCOME 4 0 118 10 1024",
+    "complement-dense OUTCOME 5 0 118 10 1024",
     "complement-parallel OUTCOME 0 0 92 8 256",
     "complement-parallel OUTCOME 1 1 92 8 256",
     "complement-parallel OUTCOME 2 0 92 8 256",
     "complement-parallel OUTCOME 3 1 92 8 256",
     "complement-parallel OUTCOME 4 0 118 10 1024",
+    "complement-parallel OUTCOME 5 0 118 10 1024",
     "complement-sparse OUTCOME 0 0 92 8 64",
     "complement-sparse OUTCOME 1 1 92 8 64",
     "complement-sparse OUTCOME 2 0 92 8 64",
     "complement-sparse OUTCOME 3 1 92 8 64",
     "complement-sparse OUTCOME 4 0 118 10 256",
+    "complement-sparse OUTCOME 5 0 118 10 256",
     "complement-adaptive OUTCOME 0 0 92 8 64",
     "complement-adaptive OUTCOME 1 1 92 8 64",
     "complement-adaptive OUTCOME 2 0 92 8 64",
     "complement-adaptive OUTCOME 3 1 92 8 64",
     "complement-adaptive OUTCOME 4 0 118 10 256",
+    "complement-adaptive OUTCOME 5 0 118 10 256",
     "grover-dense OUTCOME 0 1 20 8 256",
     "grover-dense OUTCOME 1 1 20 8 256",
     "grover-dense OUTCOME 2 1 20 8 256",
     "grover-dense OUTCOME 3 1 20 8 256",
     "grover-dense OUTCOME 4 1 25 10 1024",
+    "grover-dense OUTCOME 5 0 25 10 1024",
     "grover-parallel OUTCOME 0 1 20 8 256",
     "grover-parallel OUTCOME 1 1 20 8 256",
     "grover-parallel OUTCOME 2 1 20 8 256",
     "grover-parallel OUTCOME 3 1 20 8 256",
     "grover-parallel OUTCOME 4 1 25 10 1024",
+    "grover-parallel OUTCOME 5 0 25 10 1024",
     "grover-sparse OUTCOME 0 1 20 8 64",
     "grover-sparse OUTCOME 1 1 20 8 64",
     "grover-sparse OUTCOME 2 1 20 8 64",
     "grover-sparse OUTCOME 3 1 20 8 64",
     "grover-sparse OUTCOME 4 1 25 10 256",
+    "grover-sparse OUTCOME 5 0 25 10 256",
     "grover-adaptive OUTCOME 0 1 20 8 64",
     "grover-adaptive OUTCOME 1 1 20 8 64",
     "grover-adaptive OUTCOME 2 1 20 8 64",
     "grover-adaptive OUTCOME 3 1 20 8 64",
     "grover-adaptive OUTCOME 4 1 25 10 256",
+    "grover-adaptive OUTCOME 5 0 25 10 256",
     "ldisj-dense OUTCOME 0 1 184 16 512",
     "ldisj-dense OUTCOME 1 0 184 16 512",
     "ldisj-dense OUTCOME 2 1 184 16 512",
     "ldisj-dense OUTCOME 3 0 184 16 512",
     "ldisj-dense OUTCOME 4 1 236 20 2048",
+    "ldisj-dense OUTCOME 5 0 236 20 2048",
     "ldisj-parallel OUTCOME 0 1 184 16 512",
     "ldisj-parallel OUTCOME 1 0 184 16 512",
     "ldisj-parallel OUTCOME 2 1 184 16 512",
     "ldisj-parallel OUTCOME 3 0 184 16 512",
     "ldisj-parallel OUTCOME 4 1 236 20 2048",
+    "ldisj-parallel OUTCOME 5 0 236 20 2048",
     "ldisj-sparse OUTCOME 0 1 184 16 128",
     "ldisj-sparse OUTCOME 1 0 184 16 128",
     "ldisj-sparse OUTCOME 2 1 184 16 128",
     "ldisj-sparse OUTCOME 3 0 184 16 128",
     "ldisj-sparse OUTCOME 4 1 236 20 512",
+    "ldisj-sparse OUTCOME 5 0 236 20 512",
     "ldisj-adaptive OUTCOME 0 1 184 16 128",
     "ldisj-adaptive OUTCOME 1 0 184 16 128",
     "ldisj-adaptive OUTCOME 2 1 184 16 128",
     "ldisj-adaptive OUTCOME 3 0 184 16 128",
     "ldisj-adaptive OUTCOME 4 1 236 20 512",
+    "ldisj-adaptive OUTCOME 5 0 236 20 512",
 ];
 
 /// Helper exercising MeteredRegister's public accessors through a fresh
