@@ -13,6 +13,7 @@
 //! `< 2^{-2k}` per test (union bound over `< 3·2^k` tests keeps the total
 //! failure probability `≤ 3·2^{-k}`, far below the 3/4 the theorem needs).
 
+use oqsc_fingerprint::poly::MAX_MODULUS;
 use oqsc_fingerprint::{ceil_log2, fingerprint_prime, StreamingFingerprint};
 use oqsc_lang::Sym;
 use oqsc_machine::session::{put_bool, put_u32, put_u64, put_u8, put_usize};
@@ -90,6 +91,43 @@ impl ConsistencyChecker {
         self.meter.record(bits);
     }
 
+    /// Consumes one step of `feed_all`: a run of block bits, or one
+    /// symbol.
+    fn consume(&mut self, step: &[Sym]) {
+        if self.in_prefix {
+            match step[0] {
+                Sym::One => {
+                    if self.k < 15 {
+                        self.k += 1;
+                    } else {
+                        // Prefix too long for u64 fingerprint arithmetic;
+                        // A1 rejects such inputs anyway. Stay inert.
+                        self.ok = false;
+                    }
+                }
+                Sym::Hash => {
+                    self.in_prefix = false;
+                    if self.k >= 1 && self.k <= 15 {
+                        let p = fingerprint_prime(self.k);
+                        let t = self.seed_t % p;
+                        self.fp = Some(StreamingFingerprint::new(p, t));
+                    }
+                }
+                Sym::Zero => {
+                    // Not a well-formed prefix; A2's verdict is irrelevant
+                    // (A1 rejects). Keep scanning inertly.
+                    self.in_prefix = false;
+                }
+            }
+        } else if step[0] == Sym::Hash {
+            self.close_block();
+        } else if let Some(fp) = self.fp.as_mut() {
+            for &sym in step {
+                fp.feed(sym == Sym::One);
+            }
+        }
+    }
+
     fn close_block(&mut self) {
         let Some(fp) = self.fp.as_mut() else {
             return;
@@ -130,42 +168,21 @@ impl ConsistencyChecker {
 
 impl StreamingDecider for ConsistencyChecker {
     fn feed(&mut self, sym: Sym) {
-        if self.in_prefix {
-            match sym {
-                Sym::One => {
-                    if self.k < 15 {
-                        self.k += 1;
-                    } else {
-                        // Prefix too long for u64 fingerprint arithmetic;
-                        // A1 rejects such inputs anyway. Stay inert.
-                        self.ok = false;
-                    }
-                }
-                Sym::Hash => {
-                    self.in_prefix = false;
-                    if self.k >= 1 && self.k <= 15 {
-                        let p = fingerprint_prime(self.k);
-                        let t = self.seed_t % p;
-                        self.fp = Some(StreamingFingerprint::new(p, t));
-                    }
-                }
-                Sym::Zero => {
-                    // Not a well-formed prefix; A2's verdict is irrelevant
-                    // (A1 rejects). Keep scanning inertly.
-                    self.in_prefix = false;
-                }
-            }
-        } else {
-            match sym {
-                Sym::Zero | Sym::One => {
-                    if let Some(fp) = self.fp.as_mut() {
-                        fp.feed(sym == Sym::One);
-                    }
-                }
-                Sym::Hash => self.close_block(),
-            }
-        }
+        self.consume(std::slice::from_ref(&sym));
         self.remeter();
+    }
+
+    /// Folds each bit run of a block into the fingerprint in one tight
+    /// loop, re-metering once per step: the metered bits are constant
+    /// once the prefix is read.
+    fn feed_all(&mut self, word: &[Sym]) {
+        let mut rest = word;
+        while !rest.is_empty() {
+            let step;
+            (step, rest) = crate::split_step(rest, !self.in_prefix);
+            self.consume(step);
+            self.remeter();
+        }
     }
 
     fn decide(&mut self) -> bool {
@@ -255,7 +272,12 @@ impl Checkpointable for ConsistencyChecker {
             let acc = r.read_u64()?;
             let t_pow = r.read_u64()?;
             let len = r.read_usize()?;
-            if p < 2 || t >= p || acc >= p || t_pow >= p {
+            if !(2..MAX_MODULUS).contains(&p) {
+                return Err(CheckpointError::Malformed(format!(
+                    "A2 fingerprint modulus {p} outside [2, 2^63)"
+                )));
+            }
+            if t >= p || acc >= p || t_pow >= p {
                 return Err(CheckpointError::Malformed(
                     "A2 fingerprint residues not reduced".into(),
                 ));
@@ -393,6 +415,26 @@ mod tests {
         b = ConsistencyChecker::with_seed(5);
         b.feed_all(&word[..10]);
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn modulus_past_two_to_the_63_is_malformed() {
+        use oqsc_machine::{Session, SessionCheckpoint};
+        let word = oqsc_lang::token::from_str("1#10").expect("syms");
+        let mut s = Session::new(ConsistencyChecker::with_seed(5));
+        s.feed_all(&word);
+        let mut bytes = s.suspend().into_bytes();
+        // Header (9) + seed_t (8) + in_prefix (1) + k (4) + fp tag (1).
+        let at = 9 + 8 + 1 + 4 + 1;
+        assert_eq!(bytes[at..at + 8], fingerprint_prime(1).to_le_bytes());
+        // A modulus the fingerprint multiply cannot take, with residues
+        // that are still reduced under it.
+        bytes[at..at + 8].copy_from_slice(&(MAX_MODULUS + 5).to_le_bytes());
+        let cp = SessionCheckpoint::from_bytes(bytes).expect("header intact");
+        assert!(matches!(
+            Session::<ConsistencyChecker>::resume(&cp),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

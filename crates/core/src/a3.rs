@@ -37,6 +37,14 @@ use rand::{Rng, SeedableRng};
 /// experiments all run at `k ≤ 5`).
 pub const MAX_SIMULABLE_K: u32 = 7;
 
+/// The streamed bit-mode operator of [`GroverLayout`] a block applies.
+#[derive(Clone, Copy, Debug)]
+enum BitOp {
+    Vx,
+    Wx,
+    Rx,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
     X,
@@ -183,33 +191,91 @@ impl<B: QuantumBackend> GroverStreamer<B> {
         self.meter.record(bits);
     }
 
-    fn feed_block_bit(&mut self, bit: bool) {
+    /// The bit-mode operator the current block applies to each set bit,
+    /// or `None` once the block is skimmed (no register, a round after
+    /// the marking round, or the marking round's `z` block).
+    fn block_op(&self) -> Option<BitOp> {
+        if !self.reg.is_allocated() {
+            None
+        } else if self.round <= self.j {
+            // A full Grover iteration round.
+            Some(match self.slot {
+                Slot::X | Slot::Z => BitOp::Vx,
+                Slot::Y => BitOp::Wx,
+            })
+        } else if self.round == self.j + 1 && !self.marking_done {
+            // The marking round: R_{y^{(j+1)}} V_{x^{(j+1)}}.
+            match self.slot {
+                Slot::X => Some(BitOp::Vx),
+                Slot::Y => Some(BitOp::Rx),
+                Slot::Z => None,
+            }
+        } else {
+            None
+        }
+    }
+
+    /// Consumes a run of block bits: advances `bit_idx` by the run length
+    /// and applies the block's operator to the set bits only (on a clear
+    /// bit every operator is the identity). The support is recorded after
+    /// each update, so its peak matches a per-bit run; a skimmed block
+    /// costs O(1).
+    fn feed_bits(&mut self, bits: &[Sym]) {
         if self.k == 0 {
             return;
         }
-        let i = self.bit_idx;
-        self.bit_idx += 1;
-        if let (Some(layout), Some(state)) = (self.layout, self.reg.state_mut()) {
-            if i >= layout.domain() {
-                // Malformed over-long block: A1 rejects the word; stay safe.
-                return;
-            }
-            if self.round <= self.j {
-                // A full Grover iteration round.
-                match self.slot {
-                    Slot::X => layout.apply_vx_bit(state, i, bit),
-                    Slot::Y => layout.apply_wx_bit(state, i, bit),
-                    Slot::Z => layout.apply_vx_bit(state, i, bit),
+        let first = self.bit_idx;
+        self.bit_idx += bits.len();
+        let (Some(layout), Some(op)) = (self.layout, self.block_op()) else {
+            return;
+        };
+        // Bits past the domain belong to a malformed over-long block:
+        // A1 rejects the word; stay safe.
+        let live = bits.len().min(layout.domain().saturating_sub(first));
+        for (i, &sym) in bits[..live].iter().enumerate() {
+            if sym == Sym::One {
+                if let Some(state) = self.reg.state_mut() {
+                    match op {
+                        BitOp::Vx => layout.apply_vx_bit(state, first + i, true),
+                        BitOp::Wx => layout.apply_wx_bit(state, first + i, true),
+                        BitOp::Rx => layout.apply_rx_bit(state, first + i, true),
+                    }
                 }
-            } else if self.round == self.j + 1 && !self.marking_done {
-                // The marking round: R_{y^{(j+1)}} V_{x^{(j+1)}}.
-                match self.slot {
-                    Slot::X => layout.apply_vx_bit(state, i, bit),
-                    Slot::Y => layout.apply_rx_bit(state, i, bit),
-                    Slot::Z => {}
+                self.reg.record();
+            }
+        }
+    }
+
+    /// Consumes one step of `feed_all`: a run of block bits, or one
+    /// symbol.
+    fn consume(&mut self, step: &[Sym]) {
+        if self.in_prefix {
+            match step[0] {
+                Sym::One => {
+                    // Count k up to the largest value any genuine input
+                    // could have (beyond 24 the word length 2^{3k} is
+                    // unphysical and A1 rejects); never allocate for a
+                    // merely *claimed* huge k.
+                    if self.k < 24 {
+                        self.k += 1;
+                    }
+                }
+                sym @ (Sym::Hash | Sym::Zero) => {
+                    self.in_prefix = false;
+                    if sym == Sym::Hash && self.k >= 1 {
+                        if self.simulate && self.k <= MAX_SIMULABLE_K {
+                            let layout = GroverLayout::for_k(self.k);
+                            self.reg.allocate_with(|| layout.phi_in());
+                            self.layout = Some(layout);
+                        }
+                        self.j = (self.j_seed % (1u64 << self.k)) as usize;
+                    }
                 }
             }
-            self.reg.record();
+        } else if step[0] == Sym::Hash {
+            self.close_block();
+        } else {
+            self.feed_bits(step);
         }
     }
 
@@ -246,37 +312,21 @@ impl<B: QuantumBackend> GroverStreamer<B> {
 
 impl<B: QuantumBackend> StreamingDecider for GroverStreamer<B> {
     fn feed(&mut self, sym: Sym) {
-        if self.in_prefix {
-            match sym {
-                Sym::One => {
-                    // Count k up to the largest value any genuine input
-                    // could have (beyond 24 the word length 2^{3k} is
-                    // unphysical and A1 rejects); never allocate for a
-                    // merely *claimed* huge k.
-                    if self.k < 24 {
-                        self.k += 1;
-                    }
-                }
-                Sym::Hash | Sym::Zero => {
-                    self.in_prefix = false;
-                    if sym == Sym::Hash && self.k >= 1 {
-                        if self.simulate && self.k <= MAX_SIMULABLE_K {
-                            let layout = GroverLayout::for_k(self.k);
-                            self.reg.allocate_with(|| layout.phi_in());
-                            self.layout = Some(layout);
-                        }
-                        self.j = (self.j_seed % (1u64 << self.k)) as usize;
-                    }
-                }
-            }
-        } else {
-            match sym {
-                Sym::Zero => self.feed_block_bit(false),
-                Sym::One => self.feed_block_bit(true),
-                Sym::Hash => self.close_block(),
-            }
-        }
+        self.consume(std::slice::from_ref(&sym));
         self.remeter();
+    }
+
+    /// Consumes each bit run of a block in one step, re-metering once per
+    /// step: only `bit_idx` moves inside a run, so the metered bits never
+    /// decrease there and one reading equals the per-symbol peak.
+    fn feed_all(&mut self, word: &[Sym]) {
+        let mut rest = word;
+        while !rest.is_empty() {
+            let step;
+            (step, rest) = crate::split_step(rest, !self.in_prefix);
+            self.consume(step);
+            self.remeter();
+        }
     }
 
     fn decide(&mut self) -> bool {

@@ -42,6 +42,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use oqsc_lang::Sym;
+
 pub mod a1;
 pub mod a2;
 pub mod a3;
@@ -76,3 +78,27 @@ pub use sweep::{
     complement_sweep_in, complement_sweep_resumable_in, complement_sweep_scheduled_in, derive_seed,
     f3_fingerprint_task, f4_sketch_task, ldisj_sweep, ldisj_sweep_in, ldisj_sweep_scheduled_in,
 };
+
+/// Splits off the next step of a run-batched `feed_all` (A1, A2, A3):
+/// the maximal bit run at the front of `word` once the decider is
+/// `in_blocks` (past its `1^k#` prefix), otherwise one symbol. A
+/// separator is always a step of its own. `word` must be non-empty.
+fn split_step(word: &[Sym], in_blocks: bool) -> (&[Sym], &[Sym]) {
+    let mut run = 0;
+    if in_blocks {
+        // Skip 32-symbol chunks without a separator first: the
+        // branch-free test of a whole chunk vectorizes, where `position`
+        // compares one symbol at a time (11× slower on a k = 4 word).
+        for chunk in word.chunks_exact(32) {
+            if chunk.iter().fold(false, |seen, &s| seen | (s == Sym::Hash)) {
+                break;
+            }
+            run += 32;
+        }
+        run += word[run..]
+            .iter()
+            .position(|&s| s == Sym::Hash)
+            .unwrap_or(word.len() - run);
+    }
+    word.split_at(run.max(1))
+}

@@ -123,6 +123,14 @@ impl<B: QuantumBackend> StreamingDecider for ComplementRecognizer<B> {
         self.a3.feed(sym);
     }
 
+    /// The three procedures share no state, so each takes the whole
+    /// slice through its own run-batched `feed_all`.
+    fn feed_all(&mut self, word: &[Sym]) {
+        self.a1.feed_all(word);
+        self.a2.feed_all(word);
+        self.a3.feed_all(word);
+    }
+
     /// Accept = "the word is in the complement".
     fn decide(&mut self) -> bool {
         let a1 = self.a1.decide();
@@ -251,6 +259,13 @@ impl<B: QuantumBackend> StreamingDecider for LdisjRecognizer<B> {
     fn feed(&mut self, sym: Sym) {
         for c in &mut self.copies {
             c.feed(sym);
+        }
+    }
+
+    /// The copies are independent, so each takes the whole slice.
+    fn feed_all(&mut self, word: &[Sym]) {
+        for c in &mut self.copies {
+            c.feed_all(word);
         }
     }
 

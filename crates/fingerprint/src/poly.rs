@@ -6,14 +6,28 @@
 //! may be kept. [`StreamingFingerprint`] maintains exactly the accumulator
 //! and the running power of `t` — two residues — matching the `O(k)` space
 //! bound claimed for A2.
+//!
+//! The power update multiplies by the fixed `t` on every bit, so it uses
+//! Shoup's precomputed-quotient multiply instead of a 128-bit remainder:
+//! with `t' = ⌊t·2^64/p⌋` computed once, `a·t mod p` costs two word
+//! multiplies, a high multiply and one conditional subtraction. The
+//! result is exact for `p < 2^63` (D. Harvey, "Faster arithmetic for
+//! number-theoretic transforms", J. Symbolic Comput. 60, 2014);
+//! [`fingerprint_prime`](crate::fingerprint_prime) stays below `2^61`.
 
-use crate::modarith::{add_mod, mul_mod};
+use crate::modarith::add_mod;
+
+/// Largest modulus (exclusive) the precomputed-quotient multiply is exact
+/// for: the unreduced product lies in `[0, 2p)`, which must fit a word.
+pub const MAX_MODULUS: u64 = 1 << 63;
 
 /// Online evaluator of `F_w(t) = Σ w_i t^i mod p`, fed one bit at a time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamingFingerprint {
     p: u64,
     t: u64,
+    /// `⌊t·2^64/p⌋`, derived from `(p, t)` and never serialized.
+    t_shoup: u64,
     acc: u64,
     t_pow: u64,
     len: usize,
@@ -23,17 +37,11 @@ impl StreamingFingerprint {
     /// Starts a fingerprint at evaluation point `t` modulo `p`.
     ///
     /// # Panics
-    /// If `p < 2` or `t ≥ p`.
+    /// If `p < 2`, `p ≥ 2^63` ([`MAX_MODULUS`]) or `t ≥ p`.
     pub fn new(p: u64, t: u64) -> Self {
         assert!(p >= 2, "modulus must be ≥ 2");
         assert!(t < p, "evaluation point must be reduced mod p");
-        StreamingFingerprint {
-            p,
-            t,
-            acc: 0,
-            t_pow: 1 % p,
-            len: 0,
-        }
+        StreamingFingerprint::from_parts(p, t, 0, 1, 0)
     }
 
     /// Feeds the next bit `w_i` (bits arrive in increasing index order).
@@ -42,8 +50,22 @@ impl StreamingFingerprint {
         if bit {
             self.acc = add_mod(self.acc, self.t_pow, self.p);
         }
-        self.t_pow = mul_mod(self.t_pow, self.t, self.p);
+        self.t_pow = self.times_t(self.t_pow);
         self.len += 1;
+    }
+
+    /// `a·t mod p` for `a < p` by Shoup's precomputed-quotient multiply:
+    /// the estimate `q = ⌊a·t'/2^64⌋` is `⌊a·t/p⌋` or one less, so
+    /// `a·t − q·p` (exact modulo `2^64`) lies in `[0, 2p)`.
+    #[inline]
+    fn times_t(&self, a: u64) -> u64 {
+        let q = ((a as u128 * self.t_shoup as u128) >> 64) as u64;
+        let r = a.wrapping_mul(self.t).wrapping_sub(q.wrapping_mul(self.p));
+        if r >= self.p {
+            r - self.p
+        } else {
+            r
+        }
     }
 
     /// Feeds a slice of bits.
@@ -97,13 +119,15 @@ impl StreamingFingerprint {
     ///
     /// # Panics
     /// If the parts are not reduced residues of a valid stream
-    /// (`p < 2`, `t ≥ p`, `acc ≥ p`, or `t_pow ≥ p`).
+    /// (`p < 2`, `p ≥ 2^63`, `t ≥ p`, `acc ≥ p`, or `t_pow ≥ p`).
     pub fn from_parts(p: u64, t: u64, acc: u64, t_pow: u64, len: usize) -> Self {
         assert!(p >= 2, "modulus must be ≥ 2");
+        assert!(p < MAX_MODULUS, "modulus must be below 2^63");
         assert!(t < p && acc < p && t_pow < p, "residues must be reduced");
         StreamingFingerprint {
             p,
             t,
+            t_shoup: (((t as u128) << 64) / p as u128) as u64,
             acc,
             t_pow,
             len,
@@ -143,11 +167,14 @@ pub fn ceil_log2(n: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modarith::pow_mod;
+    use crate::modarith::{mul_mod, pow_mod};
+    use crate::prime::fingerprint_prime;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The reference: each power by square-and-multiply with the `u128`
+    /// remainder of [`mul_mod`].
     fn naive_eval(bits: &[bool], p: u64, t: u64) -> u64 {
         let mut acc = 0u64;
         for (i, &b) in bits.iter().enumerate() {
@@ -238,11 +265,53 @@ mod tests {
         assert_eq!(ceil_log2(1 << 40), 40);
     }
 
+    #[test]
+    fn shoup_multiply_matches_u128_remainder() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for p in [
+            17u64,
+            65_537,
+            (1 << 61) - 1,
+            (1 << 62) + 135,
+            MAX_MODULUS - 25,
+        ] {
+            let edges = [0, 1, 2, p / 2, p - 2, p - 1];
+            for _ in 0..20_000 {
+                let (a, t) = (rng.gen_range(0..p), rng.gen_range(0..p));
+                let f = StreamingFingerprint::new(p, t);
+                assert_eq!(f.times_t(a), mul_mod(a, t, p), "p={p} a={a} t={t}");
+            }
+            for &a in &edges {
+                for &t in &edges {
+                    let f = StreamingFingerprint::new(p, t);
+                    assert_eq!(f.times_t(a), mul_mod(a, t, p), "p={p} a={a} t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^63")]
+    fn modulus_at_two_to_the_63_panics() {
+        StreamingFingerprint::new(MAX_MODULUS, 3);
+    }
+
     proptest! {
         #[test]
         fn prop_streaming_equals_naive(bits in proptest::collection::vec(any::<bool>(), 0..300),
-                                       t in 0u64..65537) {
-            let p = 65537u64;
+                                       k in 1u32..=15,
+                                       pick in 0u8..8,
+                                       draw in any::<u64>()) {
+            // The paper's moduli, 17 up to about 2^61; t uniform in
+            // [0, p) or one of the edge values 0, 1, p − 2 and p − 1.
+            let p = fingerprint_prime(k);
+            let t = match pick {
+                0 => 0,
+                1 => 1,
+                2 => p - 2,
+                3 => p - 1,
+                _ => draw % p,
+            };
             prop_assert_eq!(fingerprint(&bits, p, t), naive_eval(&bits, p, t));
         }
 

@@ -297,10 +297,11 @@ impl<D: StreamingDecider> Session<D> {
     /// Batch-feed fast path: hands the whole slice to the decider's
     /// [`StreamingDecider::feed_all`] and bumps the stream position once,
     /// instead of paying one dynamic dispatch and one counter increment
-    /// per token. Behavior is `==`-identical to calling
-    /// [`feed`](Self::feed) on each symbol in order — `feed_all` on the
-    /// decider side is defined as exactly that loop — so the mux dispatch
-    /// loop can use it freely without perturbing verdicts or metering.
+    /// per token. The decider may consume the slice in larger steps, but
+    /// `feed_all`'s contract makes the result `==`-identical to calling
+    /// [`feed`](Self::feed) on each symbol in order, so the mux dispatch
+    /// loop can use it freely without perturbing verdicts, metering or
+    /// checkpoints.
     pub fn feed_slice(&mut self, word: &[Sym]) {
         self.decider.feed_all(word);
         self.fed += word.len() as u64;

@@ -48,7 +48,14 @@ pub trait StreamingDecider {
     /// byte length bounds the message size.
     fn snapshot(&self) -> Vec<u8>;
 
-    /// Convenience: feeds a whole word.
+    /// Feeds a whole slice. The default is [`feed`](Self::feed) on each
+    /// symbol in order. A decider may override it to consume several
+    /// symbols in one step (A1, A2 and A3 take each bit run between
+    /// separators at once), but the override must leave the decider
+    /// exactly where the per-symbol loop would: the same verdict, the same
+    /// `write_state` bytes, the same meters and the same support peak.
+    /// Checkpoints are only taken between calls, so the intermediate
+    /// states a batched step skips are never observed.
     fn feed_all(&mut self, word: &[Sym]) {
         for &s in word {
             self.feed(s);

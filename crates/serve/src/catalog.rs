@@ -282,8 +282,9 @@ impl StreamingDecider for AnyDecider {
     }
 
     fn feed_all(&mut self, word: &[Sym]) {
-        // One enum dispatch per batch, not per token — the fast path
-        // Session::feed_slice rides on.
+        // One enum dispatch per batch, not per token, into the inner
+        // decider's own feed_all (run-batched for A1, A2, A3 and the
+        // recognizers) — the fast path Session::feed_slice rides on.
         with_inner!(self, d => d.feed_all(word))
     }
 }

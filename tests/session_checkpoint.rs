@@ -9,7 +9,8 @@
 
 use onlineq::core::sweep::{complement_sweep_in, complement_sweep_scheduled_in};
 use onlineq::core::{ComplementRecognizer, GroverStreamer, LdisjRecognizer, Prop37Decider};
-use onlineq::lang::{random_member, random_nonmember, Sym};
+use onlineq::lang::token::from_str;
+use onlineq::lang::{malform, random_member, random_nonmember, Sym, ALL_MALFORMATIONS};
 use onlineq::machine::{
     run_decider, BatchRunner, CheckpointError, Checkpointable, Session, SessionCheckpoint,
     SessionSchedule, StreamingDecider, CHECKPOINT_VERSION,
@@ -17,8 +18,9 @@ use onlineq::machine::{
 use onlineq::quantum::{
     AdaptiveState, ParallelStateVector, QuantumBackend, SparseState, StateVector,
 };
+use onlineq::serve::DeciderKind;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Runs `decider` uninterrupted, then replays it with a suspend → wire
 /// bytes → resume round trip at every single token position, requiring
@@ -208,4 +210,60 @@ fn run_decider_is_a_session_wrapper() {
     session.feed_all(&word);
     assert_eq!(session.position(), word.len() as u64);
     assert_eq!(session.finish(), via_run);
+}
+
+/// `Session::feed_slice` hands whole slices to the deciders' run-batched
+/// `feed_all`. For every catalog kind, a session fed one symbol at a time
+/// and a twin fed seeded random chunks of 1 to 2m + 2 symbols must carry
+/// byte-identical checkpoints at every chunk boundary and finish with
+/// the same outcome — on members, non-members, every malformation, and
+/// the degenerate words that exercise A1's, A2's and A3's guard paths.
+#[test]
+fn feed_slice_is_split_invariant_for_every_catalog_kind() {
+    let mut rng = StdRng::seed_from_u64(0x5711);
+    // (word, m): chunks run up to 2m + 2 symbols, past a whole block.
+    let mut words: Vec<(Vec<Sym>, usize)> = Vec::new();
+    for k in 1..=3u32 {
+        let m = 1usize << (2 * k);
+        words.push((random_member(k, &mut rng).encode(), m));
+        words.push((random_nonmember(k, 1, &mut rng).encode(), m));
+        words.push((random_nonmember(k, m, &mut rng).encode(), m));
+    }
+    words.push((random_member(4, &mut rng).encode(), 256));
+    words.push((random_nonmember(4, 1, &mut rng).encode(), 256));
+    let k2_member = random_member(2, &mut rng);
+    for kind in ALL_MALFORMATIONS {
+        words.push((malform(&k2_member, kind, &mut rng), 16));
+    }
+    for degenerate in ["1#1111111111#0000#1111#", "0#101#11#", "11111111#0101#"] {
+        words.push((from_str(degenerate).expect("symbols"), 4));
+    }
+    for (w, (word, m)) in words.iter().enumerate() {
+        for (i, kind) in DeciderKind::ALL.into_iter().enumerate() {
+            let seed = (w * 16 + i) as u64;
+            let mut by_symbol = Session::new(kind.build(seed));
+            let mut by_slice = Session::new(kind.build(seed));
+            let mut at = 0;
+            while at < word.len() {
+                let end = (at + rng.gen_range(1..=2 * m + 2)).min(word.len());
+                for &sym in &word[at..end] {
+                    by_symbol.feed(sym);
+                }
+                by_slice.feed_slice(&word[at..end]);
+                assert_eq!(
+                    by_slice.suspend().as_bytes(),
+                    by_symbol.suspend().as_bytes(),
+                    "{} word {w}: checkpoints differ after {end} symbols",
+                    kind.name()
+                );
+                at = end;
+            }
+            assert_eq!(
+                by_slice.finish(),
+                by_symbol.finish(),
+                "{} word {w}",
+                kind.name()
+            );
+        }
+    }
 }
