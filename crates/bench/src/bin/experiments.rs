@@ -33,12 +33,13 @@
 //! `--workers N` sizes the in-process batch scheduler's worker fleet
 //! for the decider sweeps (E6, F1, F3, F4; default: the machine's
 //! available parallelism). `--checkpoint-every N` without a store
-//! switches those sweeps to the migrating session schedule (suspend /
-//! serialize / migrate / resume every `N` tokens); with `--store` it is
-//! the persistence cadence instead. Every table is a pure function of
-//! its seeds, so the numbers are identical at any worker count, any
-//! process count, and any checkpoint cadence — only the wall clock
-//! changes.
+//! switches those sweeps to the migrating session schedule (suspend to
+//! bytes and resume every `N` tokens); with `--store` it is the
+//! persistence cadence instead. Pool workers use it only to persist, so
+//! `--processes` accepts it only together with `--store`. Every table
+//! is a pure function of its seeds, so the numbers are identical at any
+//! worker count, any process count, and any checkpoint cadence — only
+//! the wall clock changes.
 //!
 //! `--sweep` mode additionally accepts:
 //!
@@ -207,8 +208,10 @@ fn usage_and_exit(code: i32) -> ! {
     println!(
         "  --workers N            batch workers, 1..={MAX_WORKERS} (default: available cores)"
     );
-    println!("  --checkpoint-every N   suspend/migrate/resume every N tokens, N >= 1;");
-    println!("                         with --store: the persistence cadence (default {DEFAULT_PERSIST_EVERY})");
+    println!("  --checkpoint-every N   in-process sweeps: suspend and resume every instance");
+    println!("                         every N tokens, N >= 1; with --store: the persistence");
+    println!("                         cadence (default {DEFAULT_PERSIST_EVERY}); --processes takes it only");
+    println!("                         with --store");
     println!("  --sweep e6|f1|f3|f4    run one sweep and print its table");
     println!("  --k-max K              sweep size, 1..={MAX_K} (default: e6 7, f1 8, f3 3, f4 4)");
     println!("  --trials T             f3/f4 Monte-Carlo fleet size, 1..={MAX_TRIALS}");
@@ -736,6 +739,13 @@ fn parse_cli() -> Cli {
     }
     if cli.crash_after_tokens.is_some() && cli.store.is_none() {
         eprintln!("error: --crash-after-tokens requires --store");
+        std::process::exit(2);
+    }
+    if cli.processes.is_some() && cli.checkpoint_every.is_some() && cli.store.is_none() {
+        eprintln!(
+            "error: --processes with --checkpoint-every requires --store \
+             (pool workers use the cadence only to persist)"
+        );
         std::process::exit(2);
     }
     if cli.worker && (cli.shard.is_none() || cli.of.is_none()) {

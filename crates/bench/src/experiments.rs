@@ -3,7 +3,7 @@
 //! Each `eN_*`/`fN_*` function returns structured rows (so tests can
 //! assert on them) and has a `print_*` companion used by the
 //! `experiments` binary. Decider sweeps (E6, F3, F4, and F1's
-//! separation table) run through the [`BatchRunner`] shard-per-worker
+//! separation table) run through the [`BatchRunner`] claim-next
 //! scheduler — the `experiments` binary's `--workers N` flag sizes the
 //! fleet, and every table is a pure function of its seeds, whatever the
 //! worker count. Exact-analysis sweeps (E3) still fan out over plain

@@ -493,7 +493,6 @@ trait FleetVisitor {
     where
         D: Checkpointable,
         W: IntoIterator<Item = oqsc_lang::Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync;
 }
 
@@ -544,7 +543,6 @@ impl FleetVisitor for ShardRun<'_> {
     where
         D: Checkpointable,
         W: IntoIterator<Item = oqsc_lang::Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync,
     {
         let indices = shard_indices(self.shard, count);
@@ -598,7 +596,6 @@ impl FleetVisitor for IndicesRun<'_> {
     where
         D: Checkpointable,
         W: IntoIterator<Item = oqsc_lang::Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync,
     {
         if let Some(&bad) = self.indices.iter().find(|&&i| i >= count) {

@@ -524,7 +524,6 @@ fn store_row<D, W, F>(sweep: &'static str, count: usize, every: usize, task: F) 
 where
     D: Checkpointable,
     W: IntoIterator<Item = Sym>,
-    W::IntoIter: Send,
     F: Fn(usize) -> (D, W) + Send + Sync + Copy,
 {
     let runner = BatchRunner::serial();

@@ -494,6 +494,17 @@ fn cli_rejects_inconsistent_flag_combinations() {
         (vec!["--store", "/tmp/x"], "requires --sweep"),
         (vec!["--processes", "2"], "requires --sweep"),
         (
+            vec![
+                "--sweep",
+                "e6",
+                "--processes",
+                "2",
+                "--checkpoint-every",
+                "7",
+            ],
+            "only to persist",
+        ),
+        (
             vec!["--sweep", "e6", "--worker"],
             "--worker requires --shard",
         ),

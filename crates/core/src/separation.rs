@@ -94,9 +94,9 @@ pub fn separation_rows_batched(
 /// [`separation_rows_batched`] under an explicit [`SessionSchedule`]:
 /// with [`SessionSchedule::MigrateEvery`], both fleets — quantum
 /// recognizers (register snapshots included) and classical deciders —
-/// are suspended at every segment boundary, serialized, migrated to the
-/// next worker, and resumed, and the table is `==`-identical to the
-/// uninterrupted one.
+/// are suspended at every segment boundary, serialized, and resumed
+/// from those bytes by the claim-next worker running them, and the
+/// table is `==`-identical to the uninterrupted one.
 pub fn separation_rows_scheduled(
     k_min: u32,
     seeds: &[u64],

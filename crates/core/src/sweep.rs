@@ -49,8 +49,9 @@ pub fn complement_sweep_in<B: QuantumBackend>(
 /// [`complement_sweep_in`] under an explicit [`SessionSchedule`]: with
 /// [`SessionSchedule::MigrateEvery`], every recognizer is repeatedly
 /// suspended, serialized (decider configuration + register snapshot +
-/// metering), migrated to the next worker, and resumed — producing the
-/// identical report, by the checkpoint round-trip contract.
+/// metering), and resumed from those bytes by the claim-next worker
+/// running it — producing the identical report, by the checkpoint
+/// round-trip contract.
 pub fn complement_sweep_scheduled_in<B: QuantumBackend>(
     words: &[Vec<Sym>],
     base_seed: u64,

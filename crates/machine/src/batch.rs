@@ -3,52 +3,58 @@
 //! Every experiment that sweeps `L_DISJ` instances (the Definition 2.3
 //! end-to-end runs, the separation tables, the Monte-Carlo error-rate
 //! estimates) used to drive one [`StreamingDecider`] at a time, leaving
-//! all but one core idle. [`BatchRunner`] drives a whole fleet: the
-//! instance index space is cut into one index-strided **shard per
-//! worker** (worker `w` owns indices `w, w+W, w+2W, …`, so sweeps whose
-//! per-task cost grows with the index stay balanced), each worker runs
-//! its shard serially on a scoped thread, and the per-instance
+//! all but one core idle. [`BatchRunner`] drives a whole fleet with one
+//! **claim-next** loop: each worker claims the lowest unstarted instance
+//! index from a shared counter, runs that instance to its end, and
+//! claims again. A worker never idles while an instance is unclaimed —
+//! a static stride would leave it waiting behind whichever heavy
+//! instance fell into another worker's shard. The per-instance
 //! [`RunOutcome`]s land in index-order slots, from which the fleet-wide
 //! aggregates are folded serially.
 //!
+//! The schedules differ only in what the loop does after each full
+//! segment of an instance: nothing ([`SessionSchedule::Uninterrupted`]),
+//! a suspend-to-bytes-and-resume round trip
+//! ([`SessionSchedule::MigrateEvery`]), or an append to a checkpoint
+//! store ([`BatchRunner::run_resumable`]).
+//!
 //! **Determinism contract** (DESIGN.md §6): a [`BatchReport`] depends
-//! only on the task factory, never on the worker count or shard
-//! boundaries. Two ingredients make this hold:
+//! only on the task factory, never on the worker count or on which
+//! worker claimed which instance. Two ingredients make this hold:
 //!
 //! 1. the factory builds instance `i`'s decider *and* its entropy from
 //!    `i` alone (callers derive per-index seeds; the factory is `Sync`
 //!    and must not share mutable state across calls);
 //! 2. results are written into slot `i` and aggregated by increasing
-//!    index, so shard order cannot leak into the report.
+//!    index, so claim order cannot leak into the report.
 //!
 //! The integration suite pins this: 1, 2 and 8 workers over the same
 //! seeded instance set produce `==`-identical reports.
 
-use crate::session::{CheckpointError, Checkpointable, Session, SessionCheckpoint};
+use crate::session::{CheckpointError, Checkpointable, Session};
 use crate::store::{CheckpointStore, StoreError};
-use crate::streaming::{run_decider_stream, RunOutcome, StreamingDecider};
+use crate::streaming::{RunOutcome, StreamingDecider};
 use oqsc_lang::Sym;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// How a batched fleet drives its sessions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SessionSchedule {
-    /// Each instance runs start to finish on one worker (the classic
-    /// shard-per-worker path).
+    /// Each instance runs start to finish on the worker that claimed it.
     #[default]
     Uninterrupted,
-    /// Every instance is suspended after each segment of this many
-    /// tokens, its checkpoint handed to the **next** worker, and resumed
-    /// there — continuous migration, exercising the full
-    /// suspend/serialize/resume seam. The report is identical to
-    /// [`SessionSchedule::Uninterrupted`] by the checkpoint round-trip
-    /// contract (DESIGN.md §7).
+    /// Every instance is suspended to its checkpoint bytes after each
+    /// segment of this many tokens (clamped to ≥ 1) and resumed from
+    /// those bytes by the worker that claimed it, exercising the full
+    /// suspend/serialize/resume seam at every boundary. The report is
+    /// identical to [`SessionSchedule::Uninterrupted`] by the checkpoint
+    /// round-trip contract (DESIGN.md §7).
     MigrateEvery(usize),
 }
 
-/// A shard-per-worker scheduler driving many [`StreamingDecider`]
-/// instances concurrently.
+/// A claim-next scheduler driving many [`StreamingDecider`] instances
+/// concurrently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchRunner {
     workers: usize,
@@ -83,13 +89,10 @@ impl BatchRunner {
     /// stream to feed it (materialized word or lazy generator — anything
     /// `IntoIterator<Item = Sym>`).
     ///
-    /// Every decider in the tree is [`Checkpointable`], so the classic
-    /// uninterrupted path and the migrating path are one entry point:
-    /// [`SessionSchedule::Uninterrupted`] runs each instance start to
-    /// finish on one worker; [`SessionSchedule::MigrateEvery`] routes
-    /// every instance through [`run_migrating`](Self::run_migrating).
-    /// For *persistent* schedules — checkpoints written to disk so a
-    /// killed sweep can resume — see
+    /// Every decider in the tree is [`Checkpointable`], so the
+    /// uninterrupted and the migrating schedule share this one entry
+    /// point. For *persistent* schedules — checkpoints written to disk so
+    /// a killed sweep can resume — see
     /// [`run_resumable`](Self::run_resumable).
     ///
     /// The factory must be deterministic per index (derive any randomness
@@ -98,65 +101,15 @@ impl BatchRunner {
     where
         D: Checkpointable,
         W: IntoIterator<Item = Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync,
     {
-        match schedule {
-            SessionSchedule::Uninterrupted => self.run_uninterrupted(count, task),
-            SessionSchedule::MigrateEvery(n) => self.run_migrating(count, n, task),
-        }
-    }
-
-    /// The classic shard-per-worker path (no suspension): each instance
-    /// runs start to finish on the worker that owns its index.
-    fn run_uninterrupted<D, W, F>(&self, count: usize, task: F) -> BatchReport
-    where
-        D: StreamingDecider,
-        W: IntoIterator<Item = Sym>,
-        F: Fn(usize) -> (D, W) + Sync,
-    {
-        let workers = self.workers.min(count.max(1));
-        let run_one = |idx: usize| {
-            let (decider, word) = task(idx);
-            run_decider_stream(decider, word)
+        let (segment, boundary) = match schedule {
+            SessionSchedule::Uninterrupted => (usize::MAX, Boundary::Continue),
+            SessionSchedule::MigrateEvery(n) => (n, Boundary::Migrate),
         };
-        if workers <= 1 {
-            return BatchReport::from_outcomes((0..count).map(run_one).collect());
-        }
-        // Index-strided shards: worker `w` owns indices w, w+W, w+2W, …
-        // Sweeps whose per-task cost grows with the index (the separation
-        // table's roughly doubles per k) stay balanced, unlike contiguous
-        // shards where the last worker would own the expensive tail. The
-        // assignment is still a pure function of (index, worker count),
-        // and results are re-scattered into index-order slots, so the
-        // report never sees the schedule.
-        let mut slots: Vec<Option<RunOutcome>> = vec![None; count];
-        let sharded: Vec<Vec<(usize, RunOutcome)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        (w..count)
-                            .step_by(workers)
-                            .map(|idx| (idx, run_one(idx)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        });
-        for (idx, outcome) in sharded.into_iter().flatten() {
-            slots[idx] = Some(outcome);
-        }
-        BatchReport::from_outcomes(
-            slots
-                .into_iter()
-                .map(|s| s.expect("every shard slot filled"))
-                .collect(),
-        )
+        self.drive(count, segment, boundary, u64::MAX, task)
+            .expect("in-process checkpoint must resume")
+            .expect("a u64::MAX token budget cannot be exhausted")
     }
 
     /// Convenience: drives one decider per materialized word under a
@@ -184,11 +137,11 @@ impl BatchRunner {
     /// is **skipped** — its task is never built and no token is ever
     /// re-fed — while any instance with only a checkpoint resumes from
     /// it, the stream re-derived from `task(i)` and skipped to
-    /// [`SessionCheckpoint::position`]; nothing but the store file has
-    /// to survive a crash. The report is `==`-identical to
-    /// [`run`](Self::run) whatever was (or was not) in the store, by the
-    /// checkpoint round-trip contract and the exactness of the outcome
-    /// encoding.
+    /// [`SessionCheckpoint::position`](crate::session::SessionCheckpoint::position);
+    /// nothing but the store file has to survive a crash. The report is
+    /// `==`-identical to [`run`](Self::run) whatever was (or was not) in
+    /// the store, by the checkpoint round-trip contract and the exactness
+    /// of the outcome encoding.
     ///
     /// The store must have been created (or recovered) for this decider
     /// type — open it with
@@ -204,7 +157,6 @@ impl BatchRunner {
     where
         D: Checkpointable,
         W: IntoIterator<Item = Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync,
     {
         self.run_resumable_budgeted(count, persist_every, store, u64::MAX, task)
@@ -212,8 +164,8 @@ impl BatchRunner {
     }
 
     /// [`run_resumable`](Self::run_resumable) under a **token budget**:
-    /// the sweep may feed at most `token_budget` symbols (fleet-wide,
-    /// across all workers) before it stops dead — mid-segment, without
+    /// the sweep feeds at most `token_budget` symbols in total, across
+    /// all workers, before it stops dead — mid-segment, without
     /// persisting the partial segment — and returns `Ok(None)`. This is
     /// a faithful crash/preemption model: whatever was not yet appended
     /// to the store is lost, and a later call (on a freshly
@@ -222,9 +174,12 @@ impl BatchRunner {
     /// crash/corruption suite drives this at every checkpoint boundary
     /// and at arbitrary token positions.
     ///
-    /// With more than one worker the exact crash position is racy (the
-    /// budget pool is shared), but resume correctness never depends on
-    /// where the crash fell.
+    /// Every token is taken from the shared budget just before it is
+    /// fed, so a budget that covers the whole sweep never crashes it,
+    /// whatever the worker count. With more than one worker, which
+    /// instance the crash falls in is racy, but resume correctness never
+    /// depends on where the crash fell. `u64::MAX` means no budget: the
+    /// loop then touches no shared state per token.
     pub fn run_resumable_budgeted<D, W, F>(
         &self,
         count: usize,
@@ -236,46 +191,66 @@ impl BatchRunner {
     where
         D: Checkpointable,
         W: IntoIterator<Item = Sym>,
-        W::IntoIter: Send,
         F: Fn(usize) -> (D, W) + Sync,
     {
-        let workers = self.workers.min(count.max(1));
-        let segment = persist_every.max(1);
-        let store = Mutex::new(store);
-        let budget = AtomicU64::new(token_budget);
+        let boundary = Boundary::Persist(Mutex::new(store));
+        self.drive(count, persist_every, boundary, token_budget, task)
+    }
+
+    /// The one loop behind every schedule. Each worker claims the next
+    /// unstarted index in ascending order and runs that instance to its
+    /// end in segments of `segment` tokens (clamped to ≥ 1), crossing
+    /// `boundary` after every full segment. The instance stays on the
+    /// claiming worker: no thread-local state exists, so which thread
+    /// resumes a checkpoint cannot be observed, and claims stay in index
+    /// order. A finite `token_budget` is shared by all workers; when it
+    /// runs dry the partial segment is lost, no worker claims again, and
+    /// the call returns `Ok(None)`.
+    fn drive<D, W, F>(
+        &self,
+        count: usize,
+        segment: usize,
+        boundary: Boundary<'_>,
+        token_budget: u64,
+        task: F,
+    ) -> Result<Option<BatchReport>, StoreError>
+    where
+        D: Checkpointable,
+        W: IntoIterator<Item = Sym>,
+        F: Fn(usize) -> (D, W) + Sync,
+    {
+        let segment = segment.max(1);
+        let next = AtomicUsize::new(0);
         let crashed = AtomicBool::new(false);
-        // One token from the shared pool, or false when the budget is dry.
-        let take_token = || {
-            budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                .is_ok()
-        };
-        // Runs worker `w`'s strided shard; returns its finished outcomes.
-        let run_shard = |w: usize| -> Result<Vec<(usize, RunOutcome)>, StoreError> {
-            let mut out = Vec::new();
-            'instances: for idx in (w..count).step_by(workers) {
-                if crashed.load(Ordering::Relaxed) {
+        let budget = (token_budget != u64::MAX).then(|| AtomicU64::new(token_budget));
+        // One worker: claims instances until none is left or the budget
+        // crashed the sweep, and returns the outcomes it finished.
+        let work = || -> Result<Vec<(usize, RunOutcome)>, StoreError> {
+            let mut finished = Vec::new();
+            while !crashed.load(Ordering::Relaxed) {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= count {
                     break;
                 }
                 // An instance with a persisted outcome is *skipped*, not
                 // replayed: its task is never built, its stream never
                 // re-derived, zero tokens fed (the accounting suite pins
                 // this with a zero-token resume budget).
-                let finished = store
-                    .lock()
-                    .expect("store mutex poisoned")
-                    .outcome(idx as u64)?;
-                if let Some(outcome) = finished {
-                    out.push((idx, outcome));
+                let persisted = match boundary.store() {
+                    Some(mut store) => store.outcome(idx as u64)?,
+                    None => None,
+                };
+                if let Some(outcome) = persisted {
+                    finished.push((idx, outcome));
                     continue;
                 }
                 let (fresh, word) = task(idx);
                 let mut stream = word.into_iter();
-                let persisted = store
-                    .lock()
-                    .expect("store mutex poisoned")
-                    .latest(idx as u64)?;
-                let mut session = match persisted {
+                let checkpoint = match boundary.store() {
+                    Some(mut store) => store.latest(idx as u64)?,
+                    None => None,
+                };
+                let mut session = match checkpoint {
                     Some(cp) => {
                         let session = Session::<D>::resume(&cp)?;
                         // Re-derive the stream and skip what was already fed.
@@ -295,53 +270,52 @@ impl BatchRunner {
                     None => Session::new(fresh),
                 };
                 loop {
-                    for _ in 0..segment {
-                        match stream.next() {
-                            Some(sym) => {
-                                if !take_token() {
-                                    // Crash: the partial segment is lost.
-                                    crashed.store(true, Ordering::Relaxed);
-                                    continue 'instances;
-                                }
-                                session.feed(sym);
-                            }
-                            None => {
-                                let position = session.position();
-                                let outcome = session.finish();
+                    match feed_segment(&mut session, &mut stream, segment, budget.as_ref()) {
+                        Fed::Segment => match &boundary {
+                            Boundary::Continue => {}
+                            Boundary::Migrate => session = Session::resume(&session.suspend())?,
+                            Boundary::Persist(store) => {
+                                let cp = session.suspend();
                                 store
                                     .lock()
                                     .expect("store mutex poisoned")
-                                    .append_outcome(idx as u64, position, &outcome)?;
-                                out.push((idx, outcome));
-                                continue 'instances;
+                                    .append(idx as u64, &cp)?;
                             }
+                        },
+                        Fed::End => {
+                            let position = session.position();
+                            let outcome = session.finish();
+                            if let Some(mut store) = boundary.store() {
+                                store.append_outcome(idx as u64, position, &outcome)?;
+                            }
+                            finished.push((idx, outcome));
+                            break;
+                        }
+                        Fed::Dry => {
+                            // Crash: the partial segment is lost.
+                            crashed.store(true, Ordering::Relaxed);
+                            break;
                         }
                     }
-                    store
-                        .lock()
-                        .expect("store mutex poisoned")
-                        .append(idx as u64, &session.suspend())?;
                 }
             }
-            Ok(out)
+            Ok(finished)
         };
-        let sharded: Vec<Result<Vec<(usize, RunOutcome)>, StoreError>> = if workers <= 1 {
-            vec![run_shard(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let run_shard = &run_shard;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || run_shard(w)))
-                    .collect();
-                handles
+        // The calling thread is one of the workers.
+        let workers = self.workers.min(count).max(1);
+        let results = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut results = vec![work()];
+            results.extend(
+                helpers
                     .into_iter()
-                    .map(|h| h.join().expect("resumable batch worker panicked"))
-                    .collect()
-            })
-        };
+                    .map(|h| h.join().expect("batch worker panicked")),
+            );
+            results
+        });
         let mut slots: Vec<Option<RunOutcome>> = vec![None; count];
-        for shard in sharded {
-            for (idx, outcome) in shard? {
+        for result in results {
+            for (idx, outcome) in result? {
                 slots[idx] = Some(outcome);
             }
         }
@@ -355,127 +329,65 @@ impl BatchRunner {
                 .collect(),
         )))
     }
+}
 
-    /// Drives `count` checkpointable sessions with **continuous worker
-    /// migration**: execution proceeds in rounds of `checkpoint_every`
-    /// tokens (clamped to ≥ 1); after each round every live session is
-    /// suspended into its serialized [`SessionCheckpoint`] and the bytes
-    /// are handed to a different worker for the next round (instance `i`
-    /// runs round `r` on worker `(i + r) mod W`). The decider crosses
-    /// rounds **only as bytes** — every segment boundary resumes it from
-    /// its checkpoint, so the full suspend/serialize/resume seam is
-    /// exercised at every boundary. (The input iterator itself travels
-    /// alongside the bytes: in-process migration need not replay a
-    /// 50-million-symbol stream, and a cross-process scheduler would
-    /// re-derive it from `task(i)` and skip to
-    /// [`SessionCheckpoint::position`].)
-    ///
-    /// Because a checkpoint round-trip is an identity on decider state,
-    /// the report is `==`-identical to [`run`] — whatever the worker
-    /// count and wherever the segment boundaries fall. The integration
-    /// suite pins this.
-    ///
-    /// [`run`]: Self::run
-    pub fn run_migrating<D, W, F>(
-        &self,
-        count: usize,
-        checkpoint_every: usize,
-        task: F,
-    ) -> BatchReport
-    where
-        D: Checkpointable,
-        W: IntoIterator<Item = Sym>,
-        W::IntoIter: Send,
-        F: Fn(usize) -> (D, W) + Sync,
-    {
-        enum Cell<I> {
-            Unstarted,
-            Suspended(SessionCheckpoint, I),
-            Done(RunOutcome),
+/// What the batch loop does after each full segment of an instance.
+enum Boundary<'s> {
+    /// Nothing: the instance keeps feeding.
+    Continue,
+    /// Suspend the session to checkpoint bytes and resume it from them.
+    Migrate,
+    /// Append the checkpoint to the store, which also receives finished
+    /// outcomes and is read on entry so a killed sweep can resume.
+    Persist(Mutex<&'s mut CheckpointStore>),
+}
+
+impl<'s> Boundary<'s> {
+    /// The locked store, when the loop persists.
+    fn store(&self) -> Option<MutexGuard<'_, &'s mut CheckpointStore>> {
+        match self {
+            Boundary::Persist(store) => Some(store.lock().expect("store mutex poisoned")),
+            Boundary::Continue | Boundary::Migrate => None,
         }
-        let workers = self.workers.min(count.max(1));
-        let segment = checkpoint_every.max(1);
-        let mut cells: Vec<Cell<W::IntoIter>> = (0..count).map(|_| Cell::Unstarted).collect();
-        // Advance one live instance by one segment: resume the decider
-        // from its checkpoint bytes, feed, and suspend it back to bytes.
-        let advance = |idx: usize, cell: Cell<W::IntoIter>| -> Cell<W::IntoIter> {
-            let (mut session, mut stream) = match cell {
-                Cell::Unstarted => {
-                    let (decider, word) = task(idx);
-                    (Session::new(decider), word.into_iter())
-                }
-                Cell::Suspended(cp, stream) => (
-                    Session::resume(&cp).expect("in-process checkpoint must resume"),
-                    stream,
-                ),
-                Cell::Done(_) => unreachable!("finished instances are not rescheduled"),
-            };
-            for _ in 0..segment {
-                match stream.next() {
-                    Some(sym) => session.feed(sym),
-                    None => return Cell::Done(session.finish()),
-                }
-            }
-            Cell::Suspended(session.suspend(), stream)
-        };
-        for round in 0.. {
-            if cells.iter().all(|c| matches!(c, Cell::Done(_))) {
-                break;
-            }
-            if workers <= 1 {
-                // Single worker: same suspend/resume cadence, no spawn.
-                for (idx, cell) in cells.iter_mut().enumerate() {
-                    if !matches!(cell, Cell::Done(_)) {
-                        let taken = std::mem::replace(cell, Cell::Unstarted);
-                        *cell = advance(idx, taken);
-                    }
-                }
-                continue;
-            }
-            // Migration: instance i's round-r segment runs on worker
-            // (i + r) mod W — every surviving session changes worker
-            // every round. Results are scattered back by index, so the
-            // schedule never leaks into the report.
-            let mut assigned: Vec<Vec<(usize, Cell<W::IntoIter>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (idx, cell) in cells.iter_mut().enumerate() {
-                if !matches!(cell, Cell::Done(_)) {
-                    let taken = std::mem::replace(cell, Cell::Unstarted);
-                    assigned[(idx + round) % workers].push((idx, taken));
-                }
-            }
-            let updates: Vec<Vec<(usize, Cell<W::IntoIter>)>> = std::thread::scope(|scope| {
-                let advance = &advance;
-                let handles: Vec<_> = assigned
-                    .into_iter()
-                    .map(|batch| {
-                        scope.spawn(move || {
-                            batch
-                                .into_iter()
-                                .map(|(idx, cell)| (idx, advance(idx, cell)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("migrating batch worker panicked"))
-                    .collect()
-            });
-            for (idx, cell) in updates.into_iter().flatten() {
-                cells[idx] = cell;
-            }
-        }
-        BatchReport::from_outcomes(
-            cells
-                .into_iter()
-                .map(|c| match c {
-                    Cell::Done(o) => o,
-                    _ => unreachable!("loop exits only when every cell is done"),
-                })
-                .collect(),
-        )
     }
+}
+
+/// How one [`feed_segment`] call ended.
+enum Fed {
+    /// A full segment was fed; the stream may hold more.
+    Segment,
+    /// The stream ended.
+    End,
+    /// The token budget ran dry before the next token was fed.
+    Dry,
+}
+
+/// Feeds `session` up to `segment` tokens of `stream`. A finite `budget`
+/// gives up one token before each is fed. This is the only per-token
+/// loop of every schedule and runs once per segment, so the decider's
+/// `feed` inlines here as it does into
+/// [`run_decider_stream`](crate::streaming::run_decider_stream).
+fn feed_segment<D: StreamingDecider>(
+    session: &mut Session<D>,
+    stream: &mut impl Iterator<Item = Sym>,
+    segment: usize,
+    budget: Option<&AtomicU64>,
+) -> Fed {
+    for _ in 0..segment {
+        let Some(sym) = stream.next() else {
+            return Fed::End;
+        };
+        if let Some(budget) = budget {
+            if budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                .is_err()
+            {
+                return Fed::Dry;
+            }
+        }
+        session.feed(sym);
+    }
+    Fed::Segment
 }
 
 impl Default for BatchRunner {
@@ -690,7 +602,7 @@ mod tests {
         for workers in [1usize, 2, 3, 8] {
             let runner = BatchRunner::new(workers);
             for segment in [1usize, 2, 7, 100] {
-                let migrated = runner.run_migrating(7, segment, task);
+                let migrated = runner.run(7, SessionSchedule::MigrateEvery(segment), task);
                 assert_eq!(migrated, reference, "workers={workers} segment={segment}");
                 let scheduled = runner.run(7, SessionSchedule::MigrateEvery(segment), task);
                 assert_eq!(scheduled, reference, "scheduled workers={workers}");
@@ -705,7 +617,7 @@ mod tests {
 
     #[test]
     fn migrating_schedule_handles_empty_batches_and_zero_segments() {
-        let empty = BatchRunner::new(4).run_migrating(0, 3, |_| {
+        let empty = BatchRunner::new(4).run(0, SessionSchedule::MigrateEvery(3), |_| {
             (
                 CountOnes {
                     target: 0,
@@ -717,7 +629,7 @@ mod tests {
         });
         assert!(empty.is_empty());
         // Segment 0 clamps to 1 instead of looping forever.
-        let one = BatchRunner::new(2).run_migrating(3, 0, |i| {
+        let one = BatchRunner::new(2).run(3, SessionSchedule::MigrateEvery(0), |i| {
             (
                 CountOnes {
                     target: 0,
@@ -876,6 +788,144 @@ mod tests {
         assert!(report.is_empty());
         drop(store);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Counts how often it was rebuilt from checkpoint bytes: every
+    /// `read_state` adds one, and `space_bits` reports the count.
+    struct CountResumes {
+        resumes: usize,
+    }
+
+    impl StreamingDecider for CountResumes {
+        fn feed(&mut self, _sym: Sym) {}
+
+        fn decide(&mut self) -> bool {
+            true
+        }
+
+        fn space_bits(&self) -> usize {
+            self.resumes
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            self.resumes.to_le_bytes().to_vec()
+        }
+    }
+
+    impl crate::session::Checkpointable for CountResumes {
+        const TYPE_TAG: &'static str = "CountResumes";
+
+        fn write_state(&self, out: &mut Vec<u8>) {
+            crate::session::put_usize(out, self.resumes);
+        }
+
+        fn read_state(
+            r: &mut crate::session::ByteReader,
+        ) -> Result<Self, crate::session::CheckpointError> {
+            Ok(CountResumes {
+                resumes: r.read_usize()? + 1,
+            })
+        }
+    }
+
+    #[test]
+    fn every_segment_boundary_round_trips_or_persists() {
+        const LENS: [usize; 7] = [0, 1, 6, 7, 13, 20, 21];
+        let task = |i: usize| (CountResumes { resumes: 0 }, (0..LENS[i]).map(|_| Sym::Zero));
+        for workers in [1usize, 2, 8] {
+            let runner = BatchRunner::new(workers);
+            let plain = runner.run(LENS.len(), SessionSchedule::Uninterrupted, task);
+            assert!(
+                plain.outcomes.iter().all(|o| o.classical_bits == 0),
+                "workers={workers}: an uninterrupted run never resumes"
+            );
+            for segment in [1usize, 3, 7, 100] {
+                // One resume from bytes per full segment.
+                let boundaries: Vec<usize> = LENS.iter().map(|len| len / segment).collect();
+                let migrated = runner.run(LENS.len(), SessionSchedule::MigrateEvery(segment), task);
+                let resumes: Vec<usize> =
+                    migrated.outcomes.iter().map(|o| o.classical_bits).collect();
+                assert_eq!(resumes, boundaries, "workers={workers} segment={segment}");
+                // One checkpoint per full segment plus one outcome each,
+                // and no resume at all on a fresh store.
+                let path = temp_store(&format!("cadence-{workers}-{segment}"));
+                let mut store = CheckpointStore::create_for::<CountResumes>(&path).expect("create");
+                let persisted = runner
+                    .run_resumable(LENS.len(), segment, &mut store, task)
+                    .expect("runs");
+                assert_eq!(persisted, plain, "workers={workers} segment={segment}");
+                assert_eq!(
+                    store.records(),
+                    boundaries.iter().sum::<usize>() + LENS.len(),
+                    "workers={workers} segment={segment}"
+                );
+                drop(store);
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
+
+    /// Counts every token fed to any instance, fleet-wide.
+    static FED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    struct CountFed;
+
+    impl StreamingDecider for CountFed {
+        fn feed(&mut self, _sym: Sym) {
+            FED.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn decide(&mut self) -> bool {
+            true
+        }
+
+        fn space_bits(&self) -> usize {
+            0
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            Vec::new()
+        }
+    }
+
+    impl crate::session::Checkpointable for CountFed {
+        const TYPE_TAG: &'static str = "CountFed";
+
+        fn write_state(&self, _out: &mut Vec<u8>) {}
+
+        fn read_state(
+            _r: &mut crate::session::ByteReader,
+        ) -> Result<Self, crate::session::CheckpointError> {
+            Ok(CountFed)
+        }
+    }
+
+    #[test]
+    fn budgeted_runs_never_feed_past_the_budget() {
+        let task = |i: usize| (CountFed, (0..2 + 5 * i).map(|_| Sym::Zero));
+        let total: u64 = (0..7).map(|i| 2 + 5 * i as u64).sum();
+        for workers in [1usize, 3, 8] {
+            for budget in [0, 1, 5, 17, 40, 77, total - 1, total] {
+                let path = temp_store(&format!("budget-{workers}-{budget}"));
+                let mut store = CheckpointStore::create_for::<CountFed>(&path).expect("create");
+                FED.store(0, Ordering::Relaxed);
+                let report = BatchRunner::new(workers)
+                    .run_resumable_budgeted(7, 4, &mut store, budget, task)
+                    .expect("no store errors");
+                let fed = FED.load(Ordering::Relaxed);
+                assert!(
+                    fed <= budget,
+                    "workers={workers}: fed {fed} tokens on a budget of {budget}"
+                );
+                assert_eq!(
+                    report.is_some(),
+                    budget >= total,
+                    "workers={workers} budget={budget}"
+                );
+                drop(store);
+                let _ = std::fs::remove_file(&path);
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!   a versioned [`SessionCheckpoint`](session::SessionCheckpoint) and
 //!   resumes anywhere, bit-identically (DESIGN.md §7);
 //! * [`batch`] — the [`BatchRunner`](batch::BatchRunner): many decider
-//!   instances driven concurrently over a shard-per-worker scheduler,
-//!   aggregated into a worker-count-independent
-//!   [`BatchReport`](batch::BatchReport); under
-//!   [`SessionSchedule::MigrateEvery`](batch::SessionSchedule) the fleet
-//!   continuously suspends, migrates and resumes its shards;
+//!   instances driven concurrently by a claim-next scheduler (each
+//!   worker claims the next unstarted instance), aggregated into a
+//!   worker-count-independent [`BatchReport`](batch::BatchReport); under
+//!   [`SessionSchedule::MigrateEvery`](batch::SessionSchedule) every
+//!   instance is suspended to bytes and resumed at each segment boundary;
 //! * [`store`] — the persistent checkpoint layer: a content-addressed,
 //!   append-only [`CheckpointStore`](store::CheckpointStore) log whose
 //!   header pins store/checkpoint/workspace versions and the decider

@@ -522,12 +522,14 @@ impl<D: Checkpointable> MuxEngine<D> {
 /// Drives a whole fleet through `engine` on `workers` OS threads and
 /// returns `(id, outcome)` per session, sorted by id.
 ///
-/// Worker `w` owns fleet indices `i ≡ w (mod workers)` — the same
-/// index-strided sharding as the batch scheduler — and feeds its
+/// Worker `w` owns fleet indices `i ≡ w (mod workers)` and feeds its
 /// sessions' words round-robin in `chunk`-token slices, so sessions
-/// interleave aggressively and churn the LRU. Because each session's
-/// tokens arrive in stream order regardless of `workers` and `chunk`,
-/// the outcome table is identical at any worker count and chunk size.
+/// interleave aggressively and churn the LRU. These fixed strided lanes
+/// differ from the batch scheduler's claim-next queue on purpose: a
+/// lane must hold many sessions open at once to force that churn.
+/// Because each session's tokens arrive in stream order regardless of
+/// `workers` and `chunk`, the outcome table is identical at any worker
+/// count and chunk size.
 pub fn run_fleet<D: Checkpointable + Send>(
     engine: &MuxEngine<D>,
     fleet: Vec<(u64, D, Vec<Sym>)>,

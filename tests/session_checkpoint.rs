@@ -128,9 +128,9 @@ fn classical_and_amplified_deciders_round_trip() {
 }
 
 /// The batch scheduler under the migrating schedule: every instance is
-/// suspended, serialized, handed to the next worker and resumed at every
-/// segment boundary — and the report equals the uninterrupted one on all
-/// four backends, at several worker counts and segment lengths.
+/// suspended, serialized and resumed from its bytes at every segment
+/// boundary — and the report equals the uninterrupted one on all four
+/// backends, at several worker counts and segment lengths.
 #[test]
 fn migrating_batch_reports_equal_uninterrupted_reports() {
     let mut rng = StdRng::seed_from_u64(0xBA7C);
