@@ -52,7 +52,7 @@ fn structured_word() -> Vec<Sym> {
 /// The same `1^k # (b^{2^{2k}} #)^{3·2^k}` shape with independently
 /// random blocks: the `h` branch stops uncomputing and the support
 /// crosses the promotion threshold during the early diffusion rounds.
-/// (Shared with the `--bench-json` record's `adaptive_densify` cell.)
+/// (Shared with the `experiments bench` record's `adaptive_densify` cell.)
 fn densifying_word() -> Vec<Sym> {
     record::densifying_word(K)
 }
@@ -88,7 +88,7 @@ fn bench_backends(c: &mut Criterion) {
 }
 
 /// The record's `adaptive_densify` cell under criterion: the same `pub`
-/// workload function as the `--bench-json` run, scalar vs auto dispatch,
+/// workload function as the `experiments bench` run, scalar vs auto dispatch,
 /// at the full-record size (`qubits = 10`, i.e. `k = 4`).
 fn bench_record_densify(c: &mut Criterion) {
     let mut group = c.benchmark_group("adaptive/record-densify");

@@ -13,7 +13,7 @@
 //! parallel backend would run serially by design, so measuring it there
 //! would time the wrong code path.
 //!
-//! Group `throughput-record` re-times the `--bench-json` record's kernel
+//! Group `throughput-record` re-times the `experiments bench` record's kernel
 //! and end-to-end cells (the exact `pub` workload functions from
 //! `oqsc_bench::record`) under both SIMD dispatch modes, so criterion's
 //! statistics and the committed `BENCH_throughput.json` measure the same
@@ -100,7 +100,7 @@ fn bench_parallel_dense(c: &mut Criterion) {
 type RecordCell = (&'static str, fn(usize, u32) -> u64, usize);
 
 /// The bench-record cells under criterion: same workload functions, same
-/// sizes as the full `--bench-json` run, scalar vs auto dispatch.
+/// sizes as the full `experiments bench` run, scalar vs auto dispatch.
 fn bench_record_cells(c: &mut Criterion) {
     let cells: [RecordCell; 4] = [
         ("gate_sweep_dense", record::gate_sweep_dense, 16),

@@ -26,9 +26,10 @@
 //! worker, not the slowest.
 //!
 //! The merge is [`OutcomeLedger`] — the identical definition the process
-//! pool uses — so fabric tables are byte-identical to `--workers N`
-//! in-process tables by construction (the fabric suite and the CI smoke
-//! pin this, including a run where a worker is killed mid-lease).
+//! pool uses — so fabric tables are byte-identical to in-process
+//! `experiments sweep` tables by construction (the fabric suite and the
+//! CI smoke pin this, including a run where a worker is killed
+//! mid-lease).
 
 use crate::pool::{fleet_outcomes, OutcomeLedger, PoolError, SweepRows, SweepSpec};
 use oqsc_machine::{CheckpointStore, RunOutcome};
@@ -435,8 +436,9 @@ impl Coordinator {
     /// Serves lease traffic until every instance of the sweep has an
     /// outcome, then merges the ledger into table rows — the identical
     /// merge the process pool runs, so the table is byte-identical to
-    /// `--workers N`. A sweep whose store already covers everything
-    /// (a resumed, finished run) returns immediately without serving.
+    /// an in-process `sweep --workers N`. A sweep whose store already
+    /// covers everything (a resumed, finished run) returns immediately
+    /// without serving.
     pub fn run(self) -> Result<SweepRows, PoolError> {
         let Coordinator { listener, state } = self;
         let done = AtomicBool::new(state.is_complete());
@@ -456,7 +458,7 @@ impl Coordinator {
 }
 
 /// Binds and runs a coordinator in one call — the
-/// `experiments --fabric-coordinate` entry point.
+/// `experiments fabric coordinate` entry point.
 pub fn fabric_coordinate(
     addr: &str,
     spec: SweepSpec,
@@ -612,7 +614,7 @@ fn heartbeat_loop(addr: &str, worker: u64, every: Duration, stop: &AtomicBool) {
     }
 }
 
-/// The fabric worker loop — the `experiments --fabric-work` entry
+/// The fabric worker loop — the `experiments fabric work` entry
 /// point. Connects to the coordinator at `addr`, leases ranges of
 /// `spec`, re-derives and runs the instances locally, reports their
 /// outcomes, and exits when the coordinator answers `FINISHED`.

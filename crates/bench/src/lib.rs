@@ -3,15 +3,17 @@
 //! Regenerates every quantitative claim of the paper (the experiment index
 //! in `DESIGN.md` / `EXPERIMENTS.md`):
 //!
-//! * `cargo run --release -p oqsc-bench --bin experiments` prints all
-//!   tables (E1–E6, F1–F4);
+//! * `cargo run --release -p oqsc-bench --bin experiments -- tables`
+//!   prints all tables (E1–E6, F1–F4); `experiments help` lists the
+//!   other subcommands (one sweep, a pool shard, the fabric roles, store
+//!   maintenance, the bench record, and the serving tier);
 //! * `cargo bench -p oqsc-bench` times the underlying operations with
 //!   Criterion, one bench target per experiment family.
 //!
 //! The library part holds the table-producing functions so both entry
 //! points (and the integration tests) share one implementation. Decider
 //! sweeps run through `oqsc_machine::BatchRunner` (size the fleet with
-//! `--workers N` on the binary); `cargo bench --bench throughput`
+//! `experiments tables --workers N`); `cargo bench --bench throughput`
 //! measures the batch and parallel-dense paths against the serial one.
 
 #![warn(missing_docs)]

@@ -4,15 +4,16 @@
 //!
 //! Threads (PR 2) and thread-migration (PR 3) scale a sweep inside one
 //! address space; [`ProcessPool`] is the next axis: the parent spawns
-//! the `experiments` binary in **worker mode** once per shard
-//! (`--worker --sweep … --shard w --of P`), each worker re-derives its
-//! instances from the sweep's pure per-index task functions (nothing
-//! but indices crosses the process boundary), runs them serially, and
-//! prints one `OUTCOME` line per instance on stdout. The parent merges
-//! the shard outcomes into index-ordered [`BatchReport`]s and folds
-//! them into the same table rows the in-process sweep produces — so a
-//! 1/2/4-process run prints tables byte-identical to `--workers N`
-//! in-process runs (the process-pool suite pins this).
+//! the `experiments` binary's **`shard` command** once per shard
+//! (`experiments shard NAME --shard w --of P …`), each worker
+//! re-derives its instances from the sweep's pure per-index task
+//! functions (nothing but indices crosses the process boundary), runs
+//! them serially, and prints one `OUTCOME` line per instance on
+//! stdout. The parent merges the shard outcomes into index-ordered
+//! [`BatchReport`]s and folds them into the same table rows the
+//! in-process sweep produces — so a 1/2/4-process run prints tables
+//! byte-identical to `--workers N` in-process runs (the process-pool
+//! suite pins this).
 //!
 //! With a store prefix, each worker persists its sessions into its own
 //! single-writer shard file
@@ -144,7 +145,7 @@ pub enum SweepSpec {
 }
 
 impl SweepSpec {
-    /// CLI name (`--sweep e6|f1|f3|f4`).
+    /// CLI name (`experiments sweep e6|f1|f3|f4`).
     pub fn name(&self) -> &'static str {
         match self {
             SweepSpec::E6 { .. } => "e6",
@@ -209,34 +210,19 @@ impl SweepSpec {
 
     /// Runs every fleet in-process under `runner`/`schedule` and merges
     /// the reports into table rows. This is the classic sweep path —
-    /// `experiments --sweep … --workers N` without a store or process
+    /// `experiments sweep … --workers N` without a store or process
     /// pool — and the reference the cross-process tables are
     /// byte-compared against; both end in [`rows_from_reports`], so they
     /// agree by construction.
     pub fn rows_in_process(&self, runner: &BatchRunner, schedule: SessionSchedule) -> SweepRows {
-        let reports: Vec<BatchReport> = match *self {
-            SweepSpec::E6 { k_max } => {
-                vec![runner.run(e6_instance_count(k_max), schedule, e6_task)]
-            }
-            SweepSpec::F1 { k_max } => {
-                let seeds = f1_seeds(k_max);
-                vec![
-                    runner.run(seeds.len(), schedule, |i| {
-                        separation_quantum_task(1, &seeds, i)
-                    }),
-                    runner.run(seeds.len(), schedule, |i| {
-                        separation_classical_task(1, &seeds, i)
-                    }),
-                ]
-            }
-            SweepSpec::F3 { k_max, trials } => (1..=k_max)
-                .map(|k| runner.run(trials, schedule, |i| f3_fingerprint_task(k, i)))
-                .collect(),
-            SweepSpec::F4 { k, trials } => f4_budgets(k)
-                .into_iter()
-                .map(|budget| runner.run(trials, schedule, |i| f4_sketch_task(k, budget, i)))
-                .collect(),
-        };
+        let reports: Vec<BatchReport> = self
+            .fleets()
+            .into_iter()
+            .map(|(fleet, _)| {
+                visit_fleet(*self, fleet, FleetRun { runner, schedule })
+                    .expect("spec.fleets() names only visitable fleets")
+            })
+            .collect();
         rows_from_reports(*self, &reports)
     }
 }
@@ -325,7 +311,7 @@ impl From<StoreError> for PoolError {
     }
 }
 
-/// Per-run options shared by worker mode and the parent pool.
+/// Per-run options shared by the `shard` command and the parent pool.
 #[derive(Clone, Debug, Default)]
 pub struct PoolRunOpts {
     /// Persist checkpoints under this path prefix (one store file per
@@ -421,10 +407,10 @@ pub fn shard_store_path(prefix: &Path, fleet: &str, shard: ShardId) -> PathBuf {
 /// a regular file, whatever its extension (a fabric coordinator's
 /// `--store` ledger is written at exactly the path it was given; opening
 /// a file that is not a store fails with `StoreError::NotAStore`). The
-/// separator requirement keeps sibling runs apart: `--compact
+/// separator requirement keeps sibling runs apart: `store compact
 /// /data/run1` must never touch `/data/run10.e6.shard0of2.cps`. This is
-/// what `experiments --compact PREFIX` iterates — the operator passes
-/// the same prefix they swept with.
+/// what `experiments store compact|stats PREFIX` iterates — the operator
+/// passes the same prefix they swept with.
 pub fn find_store_files(prefix: &Path) -> std::io::Result<Vec<PathBuf>> {
     if prefix.is_file() {
         return Ok(vec![prefix.to_path_buf()]);
@@ -481,9 +467,9 @@ pub fn shard_indices(shard: ShardId, count: usize) -> Vec<usize> {
 /// a *different* decider type, so running "fleet X of spec S" needs a
 /// generic call site per fleet. This trait inverts that: a scheduler
 /// implements `visit` once, generically, and [`visit_fleet`] owns the
-/// single spec-to-task dispatch — the process-pool shard runner and the
-/// fabric worker both go through it, which is how their instance
-/// derivations stay identical by construction.
+/// single spec-to-task dispatch — the in-process sweep, the process-pool
+/// shard runner and the fabric worker all go through it, which is how
+/// their instance derivations stay identical by construction.
 trait FleetVisitor {
     /// What the visit produces.
     type Out;
@@ -582,6 +568,26 @@ impl FleetVisitor for ShardRun<'_> {
     }
 }
 
+/// Runs one whole fleet in-process under a runner and schedule — the
+/// in-process sweep's execution primitive.
+struct FleetRun<'a> {
+    runner: &'a BatchRunner,
+    schedule: SessionSchedule,
+}
+
+impl FleetVisitor for FleetRun<'_> {
+    type Out = BatchReport;
+
+    fn visit<D, W, F>(self, count: usize, task: F) -> Self::Out
+    where
+        D: Checkpointable,
+        W: IntoIterator<Item = oqsc_lang::Sym>,
+        F: Fn(usize) -> (D, W) + Sync,
+    {
+        self.runner.run(count, self.schedule, task)
+    }
+}
+
 /// Runs an explicit index set of one fleet, in the given order — the
 /// fabric worker's execution primitive (a leased range is such a set).
 struct IndicesRun<'a> {
@@ -637,8 +643,9 @@ pub type WorkerOutcomes = Vec<(&'static str, usize, RunOutcome)>;
 /// Executes one worker's shard of `spec` and returns its outcomes — or
 /// `None` when the token budget crashed it (the budget applies per
 /// fleet; the first crashed fleet stops the worker, matching the
-/// resume-from-store contract). This is the whole of worker mode; the
-/// binary just prints the result with [`emit_outcomes`] and exits.
+/// resume-from-store contract). This is the whole of the `shard`
+/// command; the binary just prints the result with [`emit_outcomes`]
+/// and exits.
 pub fn worker_outcomes(
     spec: SweepSpec,
     shard: ShardId,
@@ -846,10 +853,11 @@ impl ProcessPool {
     }
 
     /// Runs `spec` sharded over the pool: spawns `exe` (the
-    /// `experiments` binary — usually `std::env::current_exe()`) in
-    /// worker mode once per shard, all concurrently, and merges their
-    /// `OUTCOME` streams into table rows identical to the in-process
-    /// sweep's.
+    /// `experiments` binary — usually `std::env::current_exe()`) as
+    /// `exe shard NAME --shard w --of P …` once per shard, all
+    /// concurrently, and merges their `OUTCOME` streams into table rows
+    /// identical to the in-process sweep's. The cadence travels only
+    /// with a store: shard workers use it only to persist.
     pub fn run(
         &self,
         exe: &Path,
@@ -859,17 +867,14 @@ impl ProcessPool {
         let mut children = Vec::with_capacity(self.processes);
         for shard in 0..self.processes {
             let mut cmd = Command::new(exe);
-            cmd.arg("--worker")
-                .arg("--sweep")
+            cmd.arg("shard")
                 .arg(spec.name())
-                .arg("--k-max")
-                .arg(spec.k_max().to_string())
                 .arg("--shard")
                 .arg(shard.to_string())
                 .arg("--of")
                 .arg(self.processes.to_string())
-                .arg("--checkpoint-every")
-                .arg(opts.checkpoint_every.max(1).to_string())
+                .arg("--k-max")
+                .arg(spec.k_max().to_string())
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped());
             if let Some(trials) = spec.trials() {
@@ -879,7 +884,10 @@ impl ProcessPool {
                 cmd.arg("--workers").arg(opts.workers.to_string());
             }
             if let Some(prefix) = &opts.store_prefix {
-                cmd.arg("--store").arg(prefix);
+                cmd.arg("--store")
+                    .arg(prefix)
+                    .arg("--checkpoint-every")
+                    .arg(opts.checkpoint_every.max(1).to_string());
             }
             if opts.resume {
                 cmd.arg("--resume");

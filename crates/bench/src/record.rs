@@ -1,6 +1,6 @@
 //! Machine-readable benchmark records for the perf-sensitive layers.
 //!
-//! `experiments --bench-json PATH` runs a fixed suite of benchmarks and
+//! `experiments bench PATH` runs a fixed suite of benchmarks and
 //! writes one JSON document. Three families:
 //!
 //! * **kernel / end-to-end cells** — dense-kernel micro-benchmarks plus two

@@ -1,4 +1,4 @@
-//! A failed accept is transient. A `--serve` process started under a
+//! A failed accept is transient. A `serve` process started under a
 //! 16-descriptor soft limit runs out of descriptors during a burst of
 //! connections (its accepts fail with EMFILE); once the limit is raised
 //! it must still serve its full `--workers` connection cap.
@@ -34,7 +34,7 @@ fn accept_errors_do_not_shrink_the_connection_cap() {
     let mut server = Reaped(
         Command::new("sh")
             .arg("-c")
-            .arg(r#"ulimit -Sn 16 && exec "$0" --serve "$1" --workers 24"#)
+            .arg(r#"ulimit -Sn 16 && exec "$0" serve "$1" --workers 24"#)
             .arg(env!("CARGO_BIN_EXE_experiments"))
             .arg(&sock)
             .stdout(Stdio::null())

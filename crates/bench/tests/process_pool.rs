@@ -9,8 +9,8 @@
 //!   and resumed from the persisted shard stores prints the identical
 //!   table — and the resume *skips* instances whose outcomes were
 //!   persisted;
-//! * `--compact` shrinks resume-heavy stores via atomic rename and a
-//!   further `--resume` still prints the identical table;
+//! * `store compact` shrinks resume-heavy stores via atomic rename and
+//!   a further `--resume` still prints the identical table;
 //! * a worker that dies with a real error surfaces its stderr tail in
 //!   the parent's error message;
 //! * stale stores are refused without `--resume`, and orphaned lock
@@ -67,10 +67,10 @@ fn cleanup_prefix(prefix: &Path) {
 /// fleets so the suite stays fast; identity is size-independent.
 fn registry_args() -> Vec<Vec<&'static str>> {
     vec![
-        vec!["--sweep", "e6", "--k-max", "4"],
-        vec!["--sweep", "f1", "--k-max", "4"],
-        vec!["--sweep", "f3", "--k-max", "2", "--trials", "40"],
-        vec!["--sweep", "f4", "--k-max", "2", "--trials", "30"],
+        vec!["sweep", "e6", "--k-max", "4"],
+        vec!["sweep", "f1", "--k-max", "4"],
+        vec!["sweep", "f3", "--k-max", "2", "--trials", "40"],
+        vec!["sweep", "f4", "--k-max", "2", "--trials", "30"],
     ]
 }
 
@@ -99,7 +99,7 @@ fn process_pools_print_tables_byte_identical_to_in_process_runs() {
 
 #[test]
 fn killed_pool_resumes_to_the_identical_table() {
-    let reference = stdout_of(&["--sweep", "e6", "--k-max", "4"]);
+    let reference = stdout_of(&["sweep", "e6", "--k-max", "4"]);
     for processes in ["1", "2", "4"] {
         let prefix = temp_prefix(&format!("crash-{processes}"));
         let prefix_s = prefix.to_string_lossy().into_owned();
@@ -107,7 +107,7 @@ fn killed_pool_resumes_to_the_identical_table() {
         // tokens (well inside the k=4 instance stream) having persisted
         // only whole 64-token segments.
         let crashed = experiments(&[
-            "--sweep",
+            "sweep",
             "e6",
             "--k-max",
             "4",
@@ -132,7 +132,7 @@ fn killed_pool_resumes_to_the_identical_table() {
         );
         // Resume from nothing but the shard store files.
         let resumed = stdout_of(&[
-            "--sweep",
+            "sweep",
             "e6",
             "--k-max",
             "4",
@@ -155,11 +155,11 @@ fn killed_pool_resumes_to_the_identical_table() {
 #[test]
 fn f1_pool_with_persistence_survives_a_kill_too() {
     // The F1 sweep checkpoints two fleets (quantum registers included).
-    let reference = stdout_of(&["--sweep", "f1", "--k-max", "3"]);
+    let reference = stdout_of(&["sweep", "f1", "--k-max", "3"]);
     let prefix = temp_prefix("f1-crash");
     let prefix_s = prefix.to_string_lossy().into_owned();
     let crashed = experiments(&[
-        "--sweep",
+        "sweep",
         "f1",
         "--k-max",
         "3",
@@ -174,7 +174,7 @@ fn f1_pool_with_persistence_survives_a_kill_too() {
     ]);
     assert_eq!(crashed.status.code(), Some(WORKER_CRASH_EXIT));
     let resumed = stdout_of(&[
-        "--sweep",
+        "sweep",
         "f1",
         "--k-max",
         "3",
@@ -193,14 +193,8 @@ fn f1_pool_with_persistence_survives_a_kill_too() {
 #[test]
 fn f3_and_f4_pools_with_persistence_survive_kills_too() {
     for (base, crash) in [
-        (
-            vec!["--sweep", "f3", "--k-max", "2", "--trials", "30"],
-            "200",
-        ),
-        (
-            vec!["--sweep", "f4", "--k-max", "2", "--trials", "25"],
-            "150",
-        ),
+        (vec!["sweep", "f3", "--k-max", "2", "--trials", "30"], "200"),
+        (vec!["sweep", "f4", "--k-max", "2", "--trials", "25"], "150"),
     ] {
         let sweep = base[1];
         let reference = stdout_of(&base);
@@ -232,10 +226,10 @@ fn f3_and_f4_pools_with_persistence_survive_kills_too() {
 #[test]
 fn compaction_between_resumes_keeps_tables_byte_identical() {
     // The satellite smoke cycle, end to end against the real binary:
-    // kill → resume (table A) → --compact → resume again (table B);
+    // kill → resume (table A) → store compact → resume again (table B);
     // A == B == the uninterrupted reference, and every store file
     // shrank.
-    let base = ["--sweep", "e6", "--k-max", "4"];
+    let base = ["sweep", "e6", "--k-max", "4"];
     let reference = stdout_of(&base);
     let prefix = temp_prefix("compact-cycle");
     let prefix_s = prefix.to_string_lossy().into_owned();
@@ -255,7 +249,7 @@ fn compaction_between_resumes_keeps_tables_byte_identical() {
     let sizes_before: Vec<(PathBuf, u64)> = store_files(&prefix);
     assert!(!sizes_before.is_empty(), "shard stores exist");
     // Compact every shard store under the prefix.
-    let compacted = experiments(&["--compact", &prefix_s]);
+    let compacted = experiments(&["store", "compact", &prefix_s]);
     assert!(
         compacted.status.success(),
         "stderr: {}",
@@ -313,7 +307,7 @@ fn failed_workers_surface_their_stderr_in_the_parent_error() {
     missing.push("prefix");
     let missing_s = missing.to_string_lossy().into_owned();
     let out = experiments(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -338,23 +332,17 @@ fn failed_workers_surface_their_stderr_in_the_parent_error() {
 
 #[test]
 fn compact_validates_its_flags_and_missing_prefixes() {
-    // --break-locks without --compact, and --compact mixed with a sweep,
+    // A sweep's flags on `store compact`, and --trials on an e6 sweep,
     // are flag errors (exit 2) with pointed messages.
     for (args, needle) in [
-        (vec!["--break-locks"], "--break-locks requires --compact"),
         (
-            vec!["--compact", "/tmp/x", "--sweep", "e6"],
-            "--compact cannot be combined with --sweep",
+            vec!["store", "compact", "/tmp/x", "--resume"],
+            "experiments store compact does not take --resume",
         ),
         (
-            vec!["--compact", "/tmp/x", "--resume"],
-            "--compact cannot be combined with --resume",
-        ),
-        (
-            vec!["--sweep", "e6", "--trials", "5"],
+            vec!["sweep", "e6", "--trials", "5"],
             "--trials only applies",
         ),
-        (vec!["--trials", "5"], "--trials requires --sweep"),
     ] {
         let out = experiments(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -367,7 +355,7 @@ fn compact_validates_its_flags_and_missing_prefixes() {
     // A prefix matching no store files is a clear runtime error (exit 1).
     let mut nowhere = std::env::temp_dir();
     nowhere.push(format!("oqsc-compact-nothing-{}", std::process::id()));
-    let out = experiments(&["--compact", &nowhere.to_string_lossy()]);
+    let out = experiments(&["store", "compact", &nowhere.to_string_lossy()]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("no checkpoint stores"),
@@ -381,7 +369,7 @@ fn stale_stores_are_refused_without_resume() {
     let prefix = temp_prefix("stale");
     let prefix_s = prefix.to_string_lossy().into_owned();
     let first = experiments(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -395,7 +383,7 @@ fn stale_stores_are_refused_without_resume() {
     assert!(first.status.success());
     // Re-running fresh over the leftover stores must refuse, loudly.
     let second = experiments(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -415,7 +403,7 @@ fn stale_stores_are_refused_without_resume() {
     // With --resume the finished shards replay from their last
     // checkpoints and the table matches the plain run.
     let resumed = stdout_of(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -427,7 +415,7 @@ fn stale_stores_are_refused_without_resume() {
         "16",
         "--resume",
     ]);
-    assert_eq!(resumed, stdout_of(&["--sweep", "e6", "--k-max", "2"]));
+    assert_eq!(resumed, stdout_of(&["sweep", "e6", "--k-max", "2"]));
     cleanup_prefix(&prefix);
 }
 
@@ -440,7 +428,7 @@ fn orphaned_locks_block_fresh_runs() {
     let lock = PathBuf::from(format!("{prefix_s}.e6.shard0of1.cps.lock"));
     std::fs::write(&lock, b"314159").expect("orphan lock");
     let blocked = experiments(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -460,7 +448,7 @@ fn orphaned_locks_block_fresh_runs() {
     // A resume run owns the shard files and may break the orphan (the
     // parent reaped the only possible writer).
     let resumed = experiments(&[
-        "--sweep",
+        "sweep",
         "e6",
         "--k-max",
         "2",
@@ -483,37 +471,22 @@ fn orphaned_locks_block_fresh_runs() {
 #[test]
 fn cli_rejects_inconsistent_flag_combinations() {
     for (args, needle) in [
+        (vec!["sweep", "e6", "--resume"], "--resume requires --store"),
         (
-            vec!["--sweep", "e6", "--resume"],
-            "--resume requires --store",
-        ),
-        (
-            vec!["--sweep", "e6", "--crash-after-tokens", "5"],
+            vec!["sweep", "e6", "--crash-after-tokens", "5"],
             "--crash-after-tokens requires --store",
         ),
-        (vec!["--store", "/tmp/x"], "requires --sweep"),
-        (vec!["--processes", "2"], "requires --sweep"),
         (
-            vec![
-                "--sweep",
-                "e6",
-                "--processes",
-                "2",
-                "--checkpoint-every",
-                "7",
-            ],
+            vec!["sweep", "e6", "--processes", "2", "--checkpoint-every", "7"],
             "only to persist",
         ),
+        (vec!["shard", "e6"], "shard requires --shard and --of"),
         (
-            vec!["--sweep", "e6", "--worker"],
-            "--worker requires --shard",
-        ),
-        (
-            vec!["--sweep", "e6", "--worker", "--shard", "5", "--of", "2"],
+            vec!["shard", "e6", "--shard", "5", "--of", "2"],
             "must be < --of",
         ),
-        (vec!["--sweep", "nope"], "expected one of"),
-        (vec!["--sweep", "e6", "--k-max", "99"], "between 1 and"),
+        (vec!["sweep", "nope"], "expected one of"),
+        (vec!["sweep", "e6", "--k-max", "99"], "between 1 and"),
     ] {
         let out = experiments(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -145,7 +145,7 @@ impl_tuple_strategy!(
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Anything usable as the size argument of [`vec`]: an exact length or
+    /// Anything usable as the size argument of [`vec()`]: an exact length or
     /// a half-open range of lengths.
     pub trait SizeRange {
         /// Draws a concrete length.

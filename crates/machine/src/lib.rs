@@ -8,31 +8,31 @@
 //!   distribution evolution), the boundary-configuration enumeration that
 //!   Theorem 3.6's reduction transmits, and Fact 2.2's configuration
 //!   counting bound;
-//! * [`streaming`] — the [`StreamingDecider`](streaming::StreamingDecider)
+//! * [`streaming`] — the [`StreamingDecider`]
 //!   trait every concrete online algorithm implements (procedures A1/A2,
 //!   the Proposition 3.7 algorithm, the sketches), with configuration
 //!   snapshots for the communication reduction and the full
-//!   [`RunOutcome`](streaming::RunOutcome) space accounting;
-//! * [`session`] — the session engine: [`Session`](session::Session)
+//!   [`RunOutcome`] space accounting;
+//! * [`session`] — the session engine: [`Session`]
 //!   drives a decider token by token and, for
-//!   [`Checkpointable`](session::Checkpointable) deciders, suspends into
-//!   a versioned [`SessionCheckpoint`](session::SessionCheckpoint) and
+//!   [`Checkpointable`] deciders, suspends into
+//!   a versioned [`SessionCheckpoint`] and
 //!   resumes anywhere, bit-identically (DESIGN.md §7);
-//! * [`batch`] — the [`BatchRunner`](batch::BatchRunner): many decider
+//! * [`batch`] — the [`BatchRunner`]: many decider
 //!   instances driven concurrently by a claim-next scheduler (each
 //!   worker claims the next unstarted instance), aggregated into a
-//!   worker-count-independent [`BatchReport`](batch::BatchReport); under
+//!   worker-count-independent [`BatchReport`]; under
 //!   [`SessionSchedule::MigrateEvery`](batch::SessionSchedule) every
 //!   instance is suspended to bytes and resumed at each segment boundary;
 //! * [`store`] — the persistent checkpoint layer: a content-addressed,
-//!   append-only [`CheckpointStore`](store::CheckpointStore) log whose
+//!   append-only [`CheckpointStore`] log whose
 //!   header pins store/checkpoint/workspace versions and the decider
 //!   type, with strict open, a salvaging
 //!   [`recover`](store::CheckpointStore::recover) path, finished-instance
 //!   outcome records (resume skips, never replays, completed work), and
 //!   [`compact`](store::CheckpointStore::compact)ion — crash-recoverable
 //!   sweeps (DESIGN.md §8–§9);
-//! * [`register`] — the [`MeteredRegister`](register::MeteredRegister)
+//! * [`register`] — the [`MeteredRegister`]
 //!   quantum-register handle making quantum streaming drivers generic over
 //!   any [`oqsc_quantum::QuantumBackend`];
 //! * [`space`] — bit-level work-space metering shared by all of them.

@@ -24,7 +24,8 @@ impl SpaceMeter {
     /// # Panics
     /// If `peak_bits < current_bits` (no valid history produces that).
     /// Wire bytes must go through [`read_checkpoint`](Self::read_checkpoint)
-    /// instead, which rejects such readings as a [`CheckpointError`].
+    /// instead, which rejects such readings as a
+    /// [`CheckpointError`](crate::session::CheckpointError).
     pub fn from_parts(current_bits: usize, peak_bits: usize) -> Self {
         assert!(
             peak_bits >= current_bits,

@@ -398,7 +398,7 @@ pub struct RecoveryReport {
 }
 
 /// Per-file store statistics, as reported by [`CheckpointStore::stats`]
-/// (and `experiments --store-stats`). Byte totals cover the distinct
+/// (and `experiments store stats`). Byte totals cover the distinct
 /// stored payloads (what dedupe kept), not the ref records pointing at
 /// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1033,8 +1033,8 @@ impl CheckpointStore {
 
     /// [`compact`](Self::compact) on a store file in one step: reads the
     /// decider tag out of the header (fully validating it first), opens
-    /// the store strictly, and compacts. This is what `experiments
-    /// --compact` drives — the operator does not need to know which
+    /// the store strictly, and compacts. This is what `experiments store
+    /// compact` drives — the operator does not need to know which
     /// decider type wrote each shard file.
     pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactionReport, StoreError> {
         let tag = peek_tag(path.as_ref())?;
@@ -1047,7 +1047,7 @@ impl CheckpointStore {
 /// construction, not the tag itself). Lets tag-agnostic tooling — store
 /// compaction, inspection — open a store that describes itself. Only a
 /// bounded prefix is read: the header's variable parts carry `u8`
-/// length prefixes, so it can never exceed [`MAX_HEADER_LEN`] bytes —
+/// length prefixes, so it can never exceed `MAX_HEADER_LEN` (522) bytes —
 /// peeking a multi-hundred-megabyte resume-heavy log costs one small
 /// read, not a full scan.
 pub fn peek_tag(path: impl AsRef<Path>) -> Result<String, StoreError> {
@@ -1446,7 +1446,7 @@ mod tests {
 
     #[test]
     fn fresh_store_stats_have_no_division_hazards() {
-        // A store with zero records (the `--store-stats` fresh-file case):
+        // A store with zero records (the `store stats` fresh-file case):
         // both ratio accessors must return finite, well-defined values
         // rather than NaN from 0/0.
         let path = temp_path("fresh-stats");

@@ -2,8 +2,9 @@
 //! engine's quantum seam.
 //!
 //! A [`StateSnapshot`] is the byte-exact, backend-portable encoding of a
-//! pure state mid-run. [`QuantumBackend::snapshot`] produces one and
-//! [`QuantumBackend::restore`] rebuilds the state **without
+//! pure state mid-run. [`QuantumBackend::snapshot`](crate::QuantumBackend::snapshot)
+//! produces one and [`QuantumBackend::restore`](crate::QuantumBackend::restore)
+//! rebuilds the state **without
 //! renormalizing**, so a suspend → bytes → resume round trip reproduces
 //! every amplitude bit for bit — the property the session engine's
 //! "checkpointed run equals uninterrupted run" contract (DESIGN.md §7)

@@ -195,7 +195,7 @@ impl StateVector {
     }
 
     /// Applies a named gate, dispatching on the shared
-    /// [`crate::backend::gate_kernel`] classification (one table for all
+    /// `backend::gate_kernel` classification (one table for all
     /// backends — see DESIGN.md §6).
     pub fn apply(&mut self, gate: &Gate) {
         assert!(

@@ -23,7 +23,7 @@
 //! sweep fabric's coordinator. [`Router`] scales the protocol out: it
 //! consistent-hashes session ids across N backend engines with
 //! byte-identical per-session transcripts (DESIGN.md §14).
-//! `experiments --serve/--route/--drive` and the CI smokes drive both
+//! `experiments serve`, `route` and `drive` and the CI smokes drive both
 //! end to end against direct runs.
 
 #![warn(missing_docs)]

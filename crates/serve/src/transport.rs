@@ -5,8 +5,8 @@
 //!
 //! Addresses containing `:` are TCP `host:port`; everything else is a
 //! Unix socket path. That one rule is shared by the serving tier, the
-//! router and the distributed sweep fabric, so `--serve`, `--drive`,
-//! `--route` and `--fabric-*` all accept either form interchangeably.
+//! router and the distributed sweep fabric, so `experiments serve`,
+//! `drive`, `route` and `fabric` all accept either form interchangeably.
 //!
 //! [`serve_lines`] owns the accept loop and the connection loop; an
 //! endpoint supplies only a request → response handler. The line reader
