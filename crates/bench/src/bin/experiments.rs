@@ -1,14 +1,12 @@
 //! Regenerates every experiment table of `EXPERIMENTS.md`, and drives
-//! single sweeps in-process, across OS worker processes, through the
-//! persistent checkpoint store and over the distributed fabric, plus the
+//! single sweeps in-process, through the persistent checkpoint store,
+//! across OS worker processes and over the distributed fabric, plus the
 //! session-multiplexing server, its router and its driver.
 //!
 //! ```text
 //! experiments tables [--workers N] [--checkpoint-every N]
 //! experiments sweep NAME [--k-max K] [--trials T] [--workers N] [--checkpoint-every N]
 //!                   [--processes P] [--store PREFIX [--resume] [--crash-after-tokens T]]
-//! experiments shard NAME --shard W --of P [--k-max K] [--trials T] [--workers N]
-//!                   [--store PREFIX [--checkpoint-every N] [--resume] [--crash-after-tokens T]]
 //! experiments fabric coordinate ADDR NAME [--k-max K] [--trials T]
 //!                   [--store PATH [--resume]] [--lease-size N] [--lease-ttl-ms T]
 //! experiments fabric work ADDR NAME [--k-max K] [--trials T] [--workers N]
@@ -35,29 +33,32 @@
 //! parallelism). `--checkpoint-every N` without a store switches those
 //! sweeps to the migrating session schedule (suspend to bytes and resume
 //! every `N` tokens); with `--store` it is the persistence cadence
-//! instead. Shard processes use it only to persist, so `sweep
-//! --processes` and `shard` accept it only together with `--store`.
-//! Every table is a pure function of its seeds, so the numbers are
-//! identical at any worker count, any process count, and any checkpoint
-//! cadence — only the wall clock changes.
+//! instead. Every table is a pure function of its seeds, so the numbers
+//! are identical at any worker count, any process count, and any
+//! checkpoint cadence — only the wall clock changes.
 //!
 //! `sweep NAME` (one of `e6`, `f1`, `f3`, `f4`) also takes:
 //!
 //! * `--trials T` — Monte-Carlo fleet size for the f3/f4 sweeps
 //!   (rejected for e6/f1, whose fleets are sized by `--k-max` alone).
-//! * `--processes P` — shard the sweep over `P` OS processes (this same
-//!   binary re-executed as `shard NAME --shard w --of P`); the merged
-//!   table is byte-identical to the in-process one.
 //! * `--store PREFIX` — persist checkpoints every `--checkpoint-every`
-//!   tokens into per-shard store files `PREFIX.<fleet>.shard<w>of<P>.cps`,
-//!   plus an outcome record whenever an instance finishes, so a resumed
-//!   sweep skips finished instances outright. A fresh run refuses stale
-//!   store files; pass `--resume` to recover them (salvaging any
+//!   tokens into one store file per fleet, `PREFIX.<fleet>.cps`, plus an
+//!   outcome record whenever an instance finishes, so a resumed sweep
+//!   skips finished instances outright. A fresh run refuses stale store
+//!   files; pass `--resume` to recover them (salvaging any
 //!   crash-truncated tail) and continue from the last persisted
 //!   boundaries.
 //! * `--crash-after-tokens T` — testing hook: stop dead after feeding
 //!   `T` tokens per fleet (exit code 9), simulating a kill; a later
 //!   `--resume` run completes the sweep with the identical table.
+//! * `--processes P` — run the sweep on the fabric over a private Unix
+//!   socket, with `P` worker processes (this same binary as `fabric
+//!   work`, `--workers` threads each); the table is byte-identical to
+//!   the in-process one. With `--store`, the coordinator's outcome
+//!   ledger is durable at `PREFIX.ledger.cps` and `--resume` skips the
+//!   instances it holds. Fabric workers keep no mid-instance
+//!   checkpoints, so `--processes` takes neither `--checkpoint-every`
+//!   nor `--crash-after-tokens`.
 //!
 //! `store compact PREFIX` rewrites every store file under the prefix
 //! down to one record per instance (its outcome if finished, its latest
@@ -102,14 +103,12 @@
 //! Out-of-range values are rejected up front with a clear message,
 //! never silently clamped or panicked on.
 
-use oqsc_bench::fabric::{fabric_work, Coordinator, FabricConfig, WorkerConfig};
-use oqsc_bench::pool::{
-    find_store_files, rows_from_outcomes, worker_outcomes, PoolError, PoolRunOpts, ShardId,
-    SweepSpec,
+use oqsc_bench::fabric::{
+    fabric_work, run_private_fabric, Coordinator, FabricConfig, WorkerConfig,
 };
+use oqsc_bench::pool::{find_store_files, PoolRunOpts, SweepSpec};
 use oqsc_bench::{
-    emit_outcomes, ProcessPool, F3_DEFAULT_K_MAX, F3_DEFAULT_TRIALS, F4_DEFAULT_K,
-    F4_DEFAULT_TRIALS, WORKER_CRASH_EXIT,
+    F3_DEFAULT_K_MAX, F3_DEFAULT_TRIALS, F4_DEFAULT_K, F4_DEFAULT_TRIALS, WORKER_CRASH_EXIT,
 };
 use oqsc_machine::{BatchRunner, CheckpointStore, SessionSchedule, StoreError};
 use oqsc_serve::{
@@ -117,14 +116,14 @@ use oqsc_serve::{
     RouterConfig, Server, ServerConfig,
 };
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 /// Upper bound on `--workers`: far above any real machine, low enough to
 /// catch a mistyped value before it spawns a few million threads.
 const MAX_WORKERS: usize = 4096;
 
-/// Upper bound on `--processes` and `--of` (same rationale, for OS
-/// processes).
+/// Upper bound on `--processes` (same rationale, for OS processes).
 const MAX_PROCESSES: usize = 256;
 
 /// Upper bound on `--k-max`: `k = 8` already streams 5·10⁷ symbols.
@@ -152,10 +151,9 @@ type Run = fn(Args) -> Outcome;
 
 /// Every command and what runs it, in the order the top-level usage
 /// lists them.
-const COMMANDS: [(&str, Run); 11] = [
+const COMMANDS: [(&str, Run); 10] = [
     ("tables", tables),
     ("sweep", sweep),
-    ("shard", shard),
     ("fabric", fabric),
     ("store", store),
     ("bench", bench),
@@ -196,26 +194,11 @@ Runs one sweep and prints its table.
                          with --processes: threads per process, default 1)
   --checkpoint-every N   suspend and resume every instance every N tokens, N >= 1;
                          with --store: the persistence cadence (default {DEFAULT_PERSIST_EVERY})
-  --processes P          shard the sweep over P shard processes, 1..={MAX_PROCESSES};
-                         takes --checkpoint-every only with --store
-  --store PREFIX         persist checkpoints + finished outcomes to
-                         PREFIX.<fleet>.shard<w>of<P>.cps
+  --processes P          run on a private fabric with P `fabric work` processes,
+                         1..={MAX_PROCESSES}; no --checkpoint-every or --crash-after-tokens
+  --store PREFIX         persist checkpoints + finished outcomes to PREFIX.<fleet>.cps;
+                         with --processes: the outcome ledger, PREFIX.ledger.cps
   --resume               recover existing stores, skip finished instances, continue
-  --crash-after-tokens T testing hook: die after T tokens per fleet (exit 9)"
-        ),
-        "shard" => format!(
-            "experiments shard NAME --shard W --of P [--k-max K] [--trials T] [--workers N]
-                  [--store PREFIX [--checkpoint-every N] [--resume] [--crash-after-tokens T]]
-
-Runs shard W of P of a sweep and prints one OUTCOME line per instance: the
-worker process `sweep --processes` spawns.
-{spec}
-  --shard W              this shard's index, below --of
-  --of P                 the shard count, 1..={MAX_PROCESSES}
-  --workers N            batch workers, 1..={MAX_WORKERS} (default 1)
-  --store PREFIX         persist to PREFIX.<fleet>.shard<W>of<P>.cps
-  --checkpoint-every N   with --store: the persistence cadence (default {DEFAULT_PERSIST_EVERY})
-  --resume               recover the shard's stores and continue
   --crash-after-tokens T testing hook: die after T tokens per fleet (exit 9)"
         ),
         "fabric" => format!(
@@ -227,7 +210,7 @@ experiments fabric work ADDR NAME [--k-max K] [--trials T] [--workers N]
 `coordinate` leases the sweep's instances out on ADDR (a Unix socket path
 or host:port) until the sweep completes, then prints its table; `work` runs
 leased instances for the coordinator at ADDR. Both name the same sweep: it
-is the work contract.
+is the work contract. `sweep --processes P` runs both on one machine.
 {spec}
   --store PATH           coordinate: keep the outcome ledger durable at PATH
   --resume               coordinate: recover the ledger at --store
@@ -419,8 +402,8 @@ impl Args {
     }
 }
 
-/// The sweep contract `sweep`, `shard` and both fabric roles share: the
-/// sweep name plus `--k-max` and `--trials`, with every default and the
+/// The sweep contract `sweep` and both fabric roles share: the sweep
+/// name plus `--k-max` and `--trials`, with every default and the
 /// check between them in one place. (The fabric coordinator checks the
 /// spec again on every `LEASE`.)
 struct SpecArgs {
@@ -468,68 +451,6 @@ impl SpecArgs {
     }
 }
 
-/// The flags `sweep` and `shard` share: the spec plus how to run it.
-struct RunArgs {
-    spec: SpecArgs,
-    workers: Option<usize>,
-    checkpoint_every: Option<usize>,
-    store: Option<PathBuf>,
-    resume: bool,
-    crash_after_tokens: Option<u64>,
-}
-
-impl RunArgs {
-    /// Parses the shared flags, handing every other one to `extra`.
-    fn parse(args: &mut Args, mut extra: impl FnMut(&str, &mut Args) -> bool) -> Self {
-        let mut run = RunArgs {
-            spec: SpecArgs::parse(args),
-            workers: None,
-            checkpoint_every: None,
-            store: None,
-            resume: false,
-            crash_after_tokens: None,
-        };
-        args.flags(|flag, args| {
-            match flag {
-                "--workers" => run.workers = Some(args.bounded(flag, MAX_WORKERS)),
-                "--checkpoint-every" => run.checkpoint_every = Some(args.checkpoint_every()),
-                "--store" => run.store = Some(args.value(flag, "a path prefix").into()),
-                "--resume" => run.resume = true,
-                "--crash-after-tokens" => {
-                    run.crash_after_tokens = Some(args.num(flag, "a token count", |_: &u64| true));
-                }
-                _ => return run.spec.take(flag, args) || extra(flag, args),
-            }
-            true
-        });
-        if run.store.is_none() {
-            if run.resume {
-                fail("--resume requires --store");
-            }
-            if run.crash_after_tokens.is_some() {
-                fail("--crash-after-tokens requires --store");
-            }
-        }
-        run
-    }
-
-    fn pool_opts(&self, default_workers: usize) -> PoolRunOpts {
-        PoolRunOpts {
-            store_prefix: self.store.clone(),
-            resume: self.resume,
-            checkpoint_every: self.checkpoint_every.unwrap_or(DEFAULT_PERSIST_EVERY),
-            crash_after_tokens: self.crash_after_tokens,
-            workers: self.workers.unwrap_or(default_workers),
-        }
-    }
-}
-
-/// Ends a run whose `--crash-after-tokens` budget ran out, exit 9.
-fn crashed(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(WORKER_CRASH_EXIT);
-}
-
 /// `tables`: every experiment table, in order.
 fn tables(mut args: Args) -> Outcome {
     let mut runner = BatchRunner::available();
@@ -569,48 +490,59 @@ fn tables(mut args: Args) -> Outcome {
     Ok(())
 }
 
-/// `sweep`: one sweep's table, in-process, over a process pool, or
-/// through the store.
+/// `sweep`: one sweep's table, in-process, through the store, or over
+/// worker processes.
 fn sweep(mut args: Args) -> Outcome {
-    let mut processes = None;
-    let run = RunArgs::parse(&mut args, |flag, args| {
-        if flag != "--processes" {
-            return false;
+    let mut spec = SpecArgs::parse(&mut args);
+    let (mut workers, mut processes, mut checkpoint_every) = (None, None, None);
+    let (mut store, mut resume, mut crash_after_tokens) = (None::<PathBuf>, false, None);
+    args.flags(|flag, args| {
+        match flag {
+            "--workers" => workers = Some(args.bounded(flag, MAX_WORKERS)),
+            "--processes" => processes = Some(args.bounded(flag, MAX_PROCESSES)),
+            "--checkpoint-every" => checkpoint_every = Some(args.checkpoint_every()),
+            "--store" => store = Some(args.value(flag, "a path prefix").into()),
+            "--resume" => resume = true,
+            "--crash-after-tokens" => {
+                crash_after_tokens = Some(args.num(flag, "a token count", |_: &u64| true));
+            }
+            _ => return spec.take(flag, args),
         }
-        processes = Some(args.bounded(flag, MAX_PROCESSES));
         true
     });
-    if processes.is_some() && run.checkpoint_every.is_some() && run.store.is_none() {
+    if store.is_none() && resume {
+        fail("--resume requires --store");
+    }
+    if store.is_none() && crash_after_tokens.is_some() {
+        fail("--crash-after-tokens requires --store");
+    }
+    if processes.is_some() && (checkpoint_every.is_some() || crash_after_tokens.is_some()) {
         fail(
-            "--processes with --checkpoint-every requires --store \
-             (pool workers use the cadence only to persist)",
+            "--processes takes neither --checkpoint-every nor --crash-after-tokens \
+             (fabric workers keep no mid-instance checkpoints; \
+             use --workers N --store PREFIX for those)",
         );
     }
-    let spec = run.spec.spec();
+    let spec = spec.spec();
     let rows = if let Some(processes) = processes {
-        // Shard over worker processes running this binary.
         let exe =
             std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
-        match ProcessPool::new(processes).run(&exe, spec, &run.pool_opts(1)) {
-            Err(e @ PoolError::WorkerCrashed { .. }) => crashed(&format!("error: {e}")),
-            rows => rows?,
-        }
-    } else if run.store.is_some() {
-        // Single-process persistent run: the shard path, in-process, as
-        // the whole sweep, so --workers defaults to all available cores.
-        let opts = run.pool_opts(BatchRunner::available().workers());
-        let Some(outcomes) = worker_outcomes(spec, ShardId { shard: 0, of: 1 }, &opts)? else {
-            crashed("crashed after --crash-after-tokens budget; resume with --resume to finish");
+        let threads = workers.unwrap_or(1);
+        run_private_fabric(&exe, spec, processes, threads, store.as_deref(), resume)?
+    } else if let Some(prefix) = store {
+        let opts = PoolRunOpts {
+            resume,
+            checkpoint_every: checkpoint_every.unwrap_or(DEFAULT_PERSIST_EVERY),
+            crash_after_tokens,
+            workers: workers.unwrap_or_else(|| BatchRunner::available().workers()),
         };
-        let triples = outcomes
-            .into_iter()
-            .map(|(fleet, idx, o)| (fleet.to_string(), idx, o));
-        rows_from_outcomes(spec, triples)?
+        spec.rows_durable(&prefix, &opts)?.unwrap_or_else(|| {
+            eprintln!("crashed after --crash-after-tokens budget; resume with --resume to finish");
+            std::process::exit(WORKER_CRASH_EXIT)
+        })
     } else {
-        let runner = run
-            .workers
-            .map_or_else(BatchRunner::available, BatchRunner::new);
-        let schedule = run.checkpoint_every.map_or(
+        let runner = workers.map_or_else(BatchRunner::available, BatchRunner::new);
+        let schedule = checkpoint_every.map_or(
             SessionSchedule::Uninterrupted,
             SessionSchedule::MigrateEvery,
         );
@@ -618,35 +550,6 @@ fn sweep(mut args: Args) -> Outcome {
     };
     rows.print();
     Ok(())
-}
-
-/// `shard`: the process pool's worker. Runs its shard and speaks the
-/// `OUTCOME` protocol on stdout.
-fn shard(mut args: Args) -> Outcome {
-    let (mut shard, mut of) = (None, None);
-    let run = RunArgs::parse(&mut args, |flag, args| {
-        match flag {
-            "--shard" => shard = Some(args.num(flag, "a shard index", |_: &usize| true)),
-            "--of" => of = Some(args.bounded(flag, MAX_PROCESSES)),
-            _ => return false,
-        }
-        true
-    });
-    let (Some(shard), Some(of)) = (shard, of) else {
-        fail("shard requires --shard and --of");
-    };
-    if shard >= of {
-        fail(&format!(
-            "--shard {shard} out of range: must be < --of {of}"
-        ));
-    }
-    if run.checkpoint_every.is_some() && run.store.is_none() {
-        fail("--checkpoint-every requires --store (shard workers use the cadence only to persist)");
-    }
-    match worker_outcomes(run.spec.spec(), ShardId { shard, of }, &run.pool_opts(1))? {
-        Some(outcomes) => Ok(emit_outcomes(&mut std::io::stdout().lock(), &outcomes)?),
-        None => std::process::exit(WORKER_CRASH_EXIT),
-    }
 }
 
 /// `fabric`: hands over to its role.
@@ -698,7 +601,7 @@ fn coordinate(mut args: Args) -> Outcome {
         lease_size,
         ttl.as_millis(),
     );
-    coordinator.run()?.print();
+    coordinator.run(&AtomicBool::new(false))?.print();
     Ok(())
 }
 

@@ -1,18 +1,19 @@
-//! The distributed sweep fabric: shard a sweep over *machines*.
+//! The sweep fabric: the one scheduler that runs a sweep across
+//! processes, on one machine or many.
 //!
-//! Threads (PR 2) and processes (PR 4) scale a sweep inside one box;
-//! this module adds the last scheduling axis from the ROADMAP. A
-//! [`Coordinator`] owns the [`SweepSpec`], the merge ledger
-//! ([`OutcomeLedger`]) and — optionally — an authoritative
+//! Threads scale a sweep inside one process; the fabric scales it
+//! across processes. A [`Coordinator`] owns the [`SweepSpec`], the merge
+//! ledger ([`OutcomeLedger`]) and — optionally — an authoritative
 //! [`CheckpointStore`] of finished outcomes, and serves the line
-//! protocol of [`oqsc_serve::protocol`] (the worker pool's `OUTCOME`
-//! lines plus `LEASE`/`RENEW`/`HEARTBEAT`/`DONE`) over a Unix or TCP
-//! socket through the serving tier's own line service
-//! ([`serve_lines`]). [`fabric_work`] is the worker loop: lease a
-//! contiguous instance range, re-derive the instances from the spec
-//! (nothing but indices crosses the wire, exactly like process-pool
-//! workers), report one `OUTCOME` line each, retire the lease with
-//! `DONE`.
+//! protocol of [`oqsc_serve::protocol`] (`OUTCOME` lines plus
+//! `LEASE`/`RENEW`/`HEARTBEAT`/`DONE`) over a Unix or TCP socket through
+//! the serving tier's own line service ([`serve_lines`]).
+//! [`fabric_work`] is the worker loop: lease a contiguous instance
+//! range, re-derive the instances from the spec (nothing but indices
+//! crosses the wire), report one `OUTCOME` line each, retire the lease
+//! with `DONE`. [`run_private_fabric`] is `sweep --processes P`: a
+//! coordinator on a private Unix socket plus `P` spawned `fabric work`
+//! children of this binary.
 //!
 //! Fault tolerance is lease-based: every lease carries a TTL, renewed by
 //! explicit `RENEW`s and by a per-worker `HEARTBEAT` side connection. A
@@ -25,21 +26,22 @@
 //! straggler lease, so the sweep's tail is bounded by the fastest
 //! worker, not the slowest.
 //!
-//! The merge is [`OutcomeLedger`] — the identical definition the process
-//! pool uses — so fabric tables are byte-identical to in-process
-//! `experiments sweep` tables by construction (the fabric suite and the
-//! CI smoke pin this, including a run where a worker is killed
-//! mid-lease).
+//! The ledger folds into rows through the same `rows_from_reports` every
+//! sweep path ends in, so fabric tables are byte-identical to in-process
+//! `experiments sweep` tables by construction (the fabric and
+//! process suites and the CI smokes pin this, including a run where a
+//! worker is killed mid-lease).
 
-use crate::pool::{fleet_outcomes, OutcomeLedger, PoolError, SweepRows, SweepSpec};
-use oqsc_machine::{CheckpointStore, RunOutcome};
+use crate::pool::{fleet_outcomes, store_path, OutcomeLedger, PoolError, SweepRows, SweepSpec};
+use oqsc_machine::{CheckpointStore, RunOutcome, StoreError};
 use oqsc_serve::{
     fabric_request_line, fabric_response_line, parse_fabric_request, parse_fabric_response,
     serve_lines, FabricRequest, FabricResponse, LineClient, Listener, OnStop,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -87,7 +89,7 @@ pub struct FabricConfig {
     /// completion ledger a crashed coordinator resumes from.
     pub store_path: Option<PathBuf>,
     /// Recover an existing store instead of refusing it (the fresh-run
-    /// default refuses stale stores, like the process pool).
+    /// default refuses stale stores, like a durable sweep).
     pub resume: bool,
 }
 
@@ -150,21 +152,28 @@ impl FabricState {
         let store = match &config.store_path {
             None => None,
             Some(path) => {
-                let mut store = if config.resume {
-                    // The coordinator is the store's single writer, and
-                    // resume only runs after the previous coordinator
-                    // died — the one situation where breaking an
-                    // orphaned lock is sound.
-                    CheckpointStore::break_lock(path)?;
-                    if path.exists() {
-                        CheckpointStore::recover(path, &tag)?.0
-                    } else {
-                        CheckpointStore::create(path, &tag)?
+                let open = || {
+                    if config.resume {
+                        // The coordinator is the store's single writer, and
+                        // resume only runs after the previous coordinator
+                        // died — the one situation where breaking an
+                        // orphaned lock is sound.
+                        CheckpointStore::break_lock(path)?;
+                        if path.exists() {
+                            return Ok(CheckpointStore::recover(path, &tag)?.0);
+                        }
                     }
-                } else {
                     // Fresh runs refuse stale stores.
-                    CheckpointStore::create(path, &tag)?
+                    CheckpointStore::create(path, &tag)
                 };
+                // A bare I/O error names no file; say which ledger failed.
+                let mut store = open().map_err(|e| match e {
+                    StoreError::Io(io) => StoreError::Io(std::io::Error::new(
+                        io.kind(),
+                        format!("ledger {}: {io}", path.display()),
+                    )),
+                    e => e,
+                })?;
                 for (id, _position, outcome) in store.finished_outcomes()? {
                     let (fleet, index) = split_fabric_instance_id(id);
                     let name = fleets
@@ -388,8 +397,8 @@ fn lock_state<'a>(state: &'a Mutex<FabricState>) -> std::sync::MutexGuard<'a, Fa
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Answers one worker request line. The sweep's completion sets `done`,
-/// which stops the coordinator accepting.
+/// Answers one worker request line. The sweep's completion sets `done`
+/// (before the answer goes out), which stops the coordinator accepting.
 fn respond(state: &Mutex<FabricState>, line: &str, done: &AtomicBool) -> String {
     let request = match parse_fabric_request(line) {
         Ok(request) => request,
@@ -433,22 +442,26 @@ impl Coordinator {
         self.listener.local_addr()
     }
 
-    /// Serves lease traffic until every instance of the sweep has an
-    /// outcome, then merges the ledger into table rows — the identical
-    /// merge the process pool runs, so the table is byte-identical to
-    /// an in-process `sweep --workers N`. A sweep whose store already
-    /// covers everything (a resumed, finished run) returns immediately
-    /// without serving.
-    pub fn run(self) -> Result<SweepRows, PoolError> {
+    /// Serves lease traffic until `stop` is set, then merges the ledger
+    /// into table rows through `rows_from_reports`, so the table is
+    /// byte-identical to an in-process `sweep --workers N`. The
+    /// coordinator sets `stop` itself once every instance of the sweep
+    /// has an outcome; a caller that sets it earlier gets the ledger's
+    /// missing-instance error. A sweep whose store already covers
+    /// everything (a resumed, finished run) returns without serving.
+    pub fn run(self, stop: &AtomicBool) -> Result<SweepRows, PoolError> {
         let Coordinator { listener, state } = self;
-        let done = AtomicBool::new(state.is_complete());
+        if state.is_complete() {
+            stop.store(true, Ordering::SeqCst);
+        }
         let state = Mutex::new(state);
-        let (state_ref, done_ref) = (&state, &done);
+        let state_ref = &state;
         // Uncapped, and draining: a completed sweep stops accepting,
         // while each open connection lasts until its worker hangs up
-        // (every worker ends on FINISHED or an abandoned lease).
-        serve_lines(listener, usize::MAX, &done, OnStop::Drain, || {
-            move |line: &str| respond(state_ref, line, done_ref)
+        // (every worker ends on FINISHED, an abandoned lease, or its
+        // death).
+        serve_lines(listener, usize::MAX, stop, OnStop::Drain, || {
+            move |line: &str| respond(state_ref, line, stop)
         })?;
         state
             .into_inner()
@@ -464,7 +477,7 @@ pub fn fabric_coordinate(
     spec: SweepSpec,
     config: FabricConfig,
 ) -> Result<SweepRows, PoolError> {
-    Coordinator::bind(addr, spec, config)?.run()
+    Coordinator::bind(addr, spec, config)?.run(&AtomicBool::new(false))
 }
 
 /// Worker loop knobs.
@@ -506,42 +519,57 @@ pub struct FabricWorkReport {
     pub expired: u64,
 }
 
-/// Sends one fabric request and parses the coordinator's answer; an
-/// `ERR` line becomes a protocol error.
-fn ask(client: &mut LineClient, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
-    let line = client.ask(&fabric_request_line(request))?;
+/// Parses the coordinator's answer line; an `ERR` line becomes a
+/// protocol error.
+fn answer(line: &str) -> Result<FabricResponse, PoolError> {
     if let Some(msg) = line.strip_prefix("ERR ") {
         return Err(PoolError::Protocol(format!("coordinator refused: {msg}")));
     }
-    parse_fabric_response(&line).map_err(PoolError::Protocol)
+    parse_fabric_response(line).map_err(PoolError::Protocol)
 }
 
-fn report_outcome(
+/// Sends one fabric request and parses the coordinator's answer.
+fn ask(client: &mut LineClient, request: &FabricRequest) -> Result<FabricResponse, PoolError> {
+    answer(&client.ask(&fabric_request_line(request))?)
+}
+
+/// Reports `outcomes` of `indices` in one pipelined burst, checking that
+/// every answer is `OK`.
+fn report_outcomes(
     client: &mut LineClient,
     fleet: &str,
-    index: u64,
-    outcome: RunOutcome,
+    indices: &[usize],
+    outcomes: &[RunOutcome],
 ) -> Result<(), PoolError> {
-    match ask(
-        client,
-        &FabricRequest::Outcome {
-            fleet: fleet.to_string(),
-            index,
-            outcome,
-        },
-    )? {
-        FabricResponse::Ok { .. } => Ok(()),
-        other => Err(PoolError::Protocol(format!(
-            "unexpected response to OUTCOME: {other:?}"
-        ))),
+    let requests: Vec<String> = indices
+        .iter()
+        .zip(outcomes)
+        .map(|(&index, &outcome)| {
+            fabric_request_line(&FabricRequest::Outcome {
+                fleet: fleet.to_string(),
+                index: index as u64,
+                outcome,
+            })
+        })
+        .collect();
+    for line in client.pipeline(&requests)? {
+        match answer(&line)? {
+            FabricResponse::Ok { .. } => {}
+            other => {
+                return Err(PoolError::Protocol(format!(
+                    "unexpected response to OUTCOME: {other:?}"
+                )))
+            }
+        }
     }
+    Ok(())
 }
 
 /// Runs one granted lease. A throttled worker computes one instance at a
 /// time and renews after each, abandoning the range the moment a renew
 /// answers `EXPIRED` (its chunk was stolen and finished, or its TTL
 /// lapsed); an unthrottled worker computes the whole range across its
-/// threads, streams the outcomes, and retires the lease.
+/// threads, pipelines the outcomes, and retires the lease.
 fn run_lease(
     client: &mut LineClient,
     spec: SweepSpec,
@@ -554,10 +582,11 @@ fn run_lease(
     let range: Vec<usize> = (range.start as usize..range.end as usize).collect();
     match config.throttle {
         Some(pause) => {
-            for &idx in &range {
-                let outcomes = fleet_outcomes(spec, fleet, &[idx], 1)?;
+            for idx in &range {
+                let one = std::slice::from_ref(idx);
+                let outcomes = fleet_outcomes(spec, fleet, one, 1)?;
                 std::thread::sleep(pause);
-                report_outcome(client, fleet, idx as u64, outcomes[0])?;
+                report_outcomes(client, fleet, one, &outcomes)?;
                 report.instances += 1;
                 match ask(client, &FabricRequest::Renew { lease })? {
                     FabricResponse::Ok { .. } => {}
@@ -575,10 +604,8 @@ fn run_lease(
         }
         None => {
             let outcomes = fleet_outcomes(spec, fleet, &range, config.threads)?;
-            for (&idx, outcome) in range.iter().zip(&outcomes) {
-                report_outcome(client, fleet, idx as u64, *outcome)?;
-                report.instances += 1;
-            }
+            report_outcomes(client, fleet, &range, &outcomes)?;
+            report.instances += range.len() as u64;
         }
     }
     match ask(client, &FabricRequest::Done { lease })? {
@@ -676,4 +703,179 @@ pub fn fabric_work(
         run
     });
     result.map(|()| report)
+}
+
+/// How often the parent of a private fabric polls its workers.
+const WATCH_POLL: Duration = Duration::from_millis(2);
+
+/// A fresh 0700 directory under the temp dir, removed with everything in
+/// it when dropped. The private fabric's socket lives here, so no other
+/// local user can connect and report an outcome first.
+struct PrivateDir(PathBuf);
+
+impl PrivateDir {
+    fn create() -> std::io::Result<PrivateDir> {
+        use std::os::unix::fs::DirBuilderExt;
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("oqsc-private-{}-{n}", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            // `create` fails on an existing path, so a directory someone
+            // else made is never used.
+            match std::fs::DirBuilder::new().mode(0o700).create(&path) {
+                Ok(()) => return Ok(PrivateDir(path)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+impl Drop for PrivateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Kills and reaps every child (a child that already exited is only
+/// reaped).
+fn kill_all(children: &mut [Child]) {
+    for child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// Spawns `exe fabric work ADDR NAME … --worker-id w` for each worker
+/// `w < processes`, with stdout to null so the table stays the only
+/// stdout, and stderr inherited so a worker's own error reaches the
+/// operator. A failed spawn kills the children already started.
+fn spawn_workers(
+    exe: &Path,
+    addr: &str,
+    spec: SweepSpec,
+    processes: usize,
+    threads: usize,
+) -> std::io::Result<Vec<Child>> {
+    let mut children = Vec::with_capacity(processes);
+    for worker in 0..processes {
+        let mut cmd = Command::new(exe);
+        cmd.args(["fabric", "work", addr, spec.name()])
+            .args(["--k-max", &spec.k_max().to_string()])
+            .stdout(Stdio::null());
+        if let Some(trials) = spec.trials() {
+            cmd.args(["--trials", &trials.to_string()]);
+        }
+        if threads > 1 {
+            cmd.args(["--workers", &threads.to_string()]);
+        }
+        match cmd.args(["--worker-id", &worker.to_string()]).spawn() {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                kill_all(&mut children);
+                return Err(e);
+            }
+        }
+    }
+    Ok(children)
+}
+
+/// Polls the workers until the sweep is over, then kills and reaps every
+/// one still running: after completion such a child can only be
+/// computing a stolen duplicate. Returns `None` once the completed
+/// ledger (or the returning coordinator) set `stop`. If instead a worker
+/// fails, or every worker exits first, it sets `stop` itself and returns
+/// why.
+fn watch_workers(children: &mut [Child], stop: &AtomicBool) -> Option<PoolError> {
+    let verdict = loop {
+        if stop.load(Ordering::SeqCst) {
+            break None;
+        }
+        let (mut running, mut failure) = (false, None);
+        for (worker, child) in children.iter_mut().enumerate() {
+            match child.try_wait() {
+                Ok(None) => running = true,
+                Ok(Some(status)) if status.success() => {}
+                Ok(Some(status)) => {
+                    let code = status.code();
+                    failure.get_or_insert(PoolError::WorkerFailed { worker, code });
+                }
+                Err(e) => {
+                    failure.get_or_insert(PoolError::Io(e));
+                }
+            }
+        }
+        if running && failure.is_none() {
+            std::thread::sleep(WATCH_POLL);
+            continue;
+        }
+        // An exit after the ledger completed ends nothing.
+        let completed = stop.swap(true, Ordering::SeqCst);
+        break (!completed).then(|| {
+            failure.unwrap_or_else(|| {
+                let n = children.len();
+                PoolError::Protocol(format!("all {n} workers exited before the sweep completed"))
+            })
+        });
+    };
+    kill_all(children);
+    verdict
+}
+
+/// Runs `spec` over `processes` worker processes on this machine — the
+/// whole of `sweep --processes P`. Binds a [`Coordinator`] on a Unix
+/// socket in a fresh private (0700) directory, spawns `exe fabric work
+/// SOCK NAME … --worker-id w` once per worker with `threads` threads
+/// each, serves leases until the ledger is complete, and returns the
+/// table. A lease holds `max(1, instances / (8·processes))` instances,
+/// so the heaviest instances spread over the workers while a fleet of
+/// thousands of cheap trials does not pay a round trip per lease.
+///
+/// With `store_prefix`, the outcome ledger is durable at
+/// `<prefix>.ledger.cps`, in the format `fabric coordinate --store`
+/// writes. `resume` recovers it and leases only the missing instances;
+/// a complete ledger returns the table without spawning anyone. Workers
+/// keep no mid-instance checkpoints.
+///
+/// The call returns at completion: workers still running are killed. A
+/// worker that exits unsuccessfully first ends the sweep with
+/// [`PoolError::WorkerFailed`], and workers that all exit first end it
+/// with a protocol error, never a hang. The private directory is removed
+/// on every path.
+pub fn run_private_fabric(
+    exe: &Path,
+    spec: SweepSpec,
+    processes: usize,
+    threads: usize,
+    store_prefix: Option<&Path>,
+    resume: bool,
+) -> Result<SweepRows, PoolError> {
+    let processes = processes.max(1);
+    let dir = PrivateDir::create()?;
+    let addr = dir.0.join("fabric.sock").to_string_lossy().into_owned();
+    let instances: usize = spec.fleets().iter().map(|&(_, n)| n).sum();
+    let config = FabricConfig {
+        lease_size: (instances / (8 * processes)).max(1),
+        store_path: store_prefix.map(|prefix| store_path(prefix, "ledger")),
+        resume,
+        ..FabricConfig::default()
+    };
+    let coordinator = Coordinator::bind(&addr, spec, config)?;
+    let stop = AtomicBool::new(false);
+    if coordinator.state.is_complete() {
+        return coordinator.run(&stop);
+    }
+    let mut children = spawn_workers(exe, &addr, spec, processes, threads)?;
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| watch_workers(&mut children, &stop));
+        let rows = coordinator.run(&stop);
+        // A coordinator that failed early must not leave the watcher
+        // waiting.
+        stop.store(true, Ordering::SeqCst);
+        match watcher.join().expect("the watcher does not panic") {
+            Some(failure) => Err(failure),
+            None => rows,
+        }
+    })
 }

@@ -5,8 +5,9 @@
 //!
 //! * `cargo run --release -p oqsc-bench --bin experiments -- tables`
 //!   prints all tables (E1–E6, F1–F4); `experiments help` lists the
-//!   other subcommands (one sweep, a pool shard, the fabric roles, store
-//!   maintenance, the bench record, and the serving tier);
+//!   other subcommands (one sweep — in-process, durable, or over worker
+//!   processes — the fabric roles, store maintenance, the bench record,
+//!   and the serving tier);
 //! * `cargo bench -p oqsc-bench` times the underlying operations with
 //!   Criterion, one bench target per experiment family.
 //!
@@ -26,12 +27,12 @@ pub mod record;
 
 pub use experiments::*;
 pub use fabric::{
-    fabric_coordinate, fabric_instance_id, fabric_work, split_fabric_instance_id, Coordinator,
-    FabricConfig, FabricState, FabricWorkReport, WorkerConfig,
+    fabric_coordinate, fabric_instance_id, fabric_work, run_private_fabric,
+    split_fabric_instance_id, Coordinator, FabricConfig, FabricState, FabricWorkReport,
+    WorkerConfig,
 };
 pub use pool::{
-    emit_outcomes, find_store_files, fleet_outcomes, rows_from_outcomes, rows_from_reports,
-    shard_indices, worker_outcomes, OutcomeLedger, PoolError, PoolRunOpts, ProcessPool, ShardId,
+    find_store_files, fleet_outcomes, rows_from_reports, OutcomeLedger, PoolError, PoolRunOpts,
     SweepRows, SweepSpec, WORKER_CRASH_EXIT,
 };
 pub use record::{run_record, RecordOpts};

@@ -1,33 +1,28 @@
-//! Cross-process sweep scheduling: shard an experiment over OS worker
-//! processes, optionally persisting checkpoints so a killed worker can
-//! be resumed.
+//! The sweep registry and the two things every sweep path shares: the
+//! row merge and the outcome ledger.
 //!
-//! Threads (PR 2) and thread-migration (PR 3) scale a sweep inside one
-//! address space; [`ProcessPool`] is the next axis: the parent spawns
-//! the `experiments` binary's **`shard` command** once per shard
-//! (`experiments shard NAME --shard w --of P …`), each worker
-//! re-derives its instances from the sweep's pure per-index task
-//! functions (nothing but indices crosses the process boundary), runs
-//! them serially, and prints one `OUTCOME` line per instance on
-//! stdout. The parent merges the shard outcomes into index-ordered
-//! [`BatchReport`]s and folds them into the same table rows the
-//! in-process sweep produces — so a 1/2/4-process run prints tables
-//! byte-identical to `--workers N` in-process runs (the process-pool
-//! suite pins this).
+//! [`SweepSpec`] names each sweep's decider fleets and their pure
+//! per-index task functions, so nothing but indices ever has to cross a
+//! thread, process or machine boundary. Three paths run a spec, and all
+//! of them end in [`rows_from_reports`], which is why their tables are
+//! byte-identical by construction:
 //!
-//! With a store prefix, each worker persists its sessions into its own
-//! single-writer shard file
-//! (`<prefix>.<fleet>.shard<w>of<P>.cps`) every `checkpoint_every`
-//! tokens via [`BatchRunner::run_resumable_budgeted`]. A killed worker
-//! (simulated deterministically by `--crash-after-tokens`, which makes
-//! the worker stop dead mid-segment and exit with
-//! [`WORKER_CRASH_EXIT`]) loses only its unpersisted tail: re-running
-//! the pool with `resume` recovers each shard store, salvages the valid
-//! record prefix, breaks the dead writer's orphaned lock, and continues
-//! from the last persisted boundaries — producing the identical table.
-//! Resuming must reuse the same process count: the shard file name
-//! encodes `w` and `P`, so a different `P` simply starts fresh shards
-//! rather than misassigning instances.
+//! * in-process, [`SweepSpec::rows_in_process`] (`sweep --workers N`);
+//! * in-process and durable, [`SweepSpec::rows_durable`]
+//!   (`sweep --store PREFIX`): each fleet persists its sessions into its
+//!   own single-writer store `<prefix>.<fleet>.cps` every
+//!   `checkpoint_every` tokens via
+//!   [`BatchRunner::run_resumable_budgeted`]. A run killed mid-sweep
+//!   (simulated deterministically by `--crash-after-tokens`, which stops
+//!   it dead mid-segment with exit [`WORKER_CRASH_EXIT`]) loses only its
+//!   unpersisted tail: `resume` recovers each store, salvages the valid
+//!   record prefix, breaks the dead writer's orphaned lock, and continues
+//!   from the last persisted boundaries;
+//! * across processes or machines, the lease-based fabric
+//!   ([`crate::fabric`]), whose coordinator fills an [`OutcomeLedger`]
+//!   one `OUTCOME` line at a time. `sweep --processes P` runs it on a
+//!   private socket with `P` spawned workers
+//!   ([`run_private_fabric`](crate::fabric::run_private_fabric)).
 
 use crate::experiments::{
     e6_instance_count, e6_rows_from_report, e6_task, f1_seeds, f3_rows_from_reports, f4_budgets,
@@ -43,42 +38,14 @@ use oqsc_machine::{
     StoreError,
 };
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 
-/// Exit code a worker uses when its token budget ran dry — the
-/// deterministic stand-in for being killed mid-sweep. The parent maps
-/// it to [`PoolError::WorkerCrashed`]; anything non-zero and different
-/// is a real failure ([`PoolError::WorkerFailed`]).
+/// Exit code of a durable sweep whose token budget ran dry — the
+/// deterministic stand-in for being killed mid-sweep.
 pub const WORKER_CRASH_EXIT: i32 = 9;
 
-/// How much of a worker's stderr an error carries, bounded so a runaway
-/// child cannot balloon the parent's error path.
-const STDERR_TAIL_BYTES: usize = 4096;
-
-/// Bytes of the *head* kept when stderr overflows the budget. Rust
-/// prints a panic message first and the (possibly huge, under
-/// `RUST_BACKTRACE`) backtrace after it, while store/CLI errors are
-/// final lines — keeping both ends preserves each.
-const STDERR_HEAD_BYTES: usize = 1024;
-
-/// At most [`STDERR_TAIL_BYTES`] of a worker's stderr, lossily decoded
-/// and trimmed. Oversized output keeps the first [`STDERR_HEAD_BYTES`]
-/// (where a panic message lives) and the trailing remainder (where
-/// final error lines live), with `…` marking the elision.
-fn stderr_tail(stderr: &[u8]) -> String {
-    if stderr.len() <= STDERR_TAIL_BYTES {
-        return String::from_utf8_lossy(stderr).trim_end().to_string();
-    }
-    let head = String::from_utf8_lossy(&stderr[..STDERR_HEAD_BYTES]);
-    let tail_start = stderr.len() - (STDERR_TAIL_BYTES - STDERR_HEAD_BYTES);
-    let tail = String::from_utf8_lossy(&stderr[tail_start..]);
-    format!("{head}…{}", tail.trim_end())
-}
-
-/// Per-`k` fleet names for the F3 sweep (static, because outcome triples
-/// carry `&'static str` fleet names across the worker protocol; the
-/// table is the contract's bound, independent of the CLI's own `--k-max`
-/// cap).
+/// Per-`k` fleet names for the F3 sweep (static, because ledgers and
+/// reports carry `&'static str` fleet names; the table is the
+/// contract's bound, independent of the CLI's own `--k-max` cap).
 fn f3_fleet_name(k: u32) -> &'static str {
     const NAMES: [&str; 8] = ["k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8"];
     assert!(
@@ -109,11 +76,11 @@ fn f4_fleet_name(budget: usize) -> &'static str {
 /// A sweep the schedulers know how to run: the **single registry** of
 /// experiments — every entry defines its decider fleets (name + instance
 /// count), its pure per-index task functions, and its row merge, so one
-/// engine drives it in-process ([`SweepSpec::rows_in_process`]), sharded
-/// over worker processes ([`ProcessPool`]), and crash-recoverably
-/// through the persistent store. Every instance must be a pure function
-/// of its index (and the spec), so a worker process can re-derive its
-/// shard from the spec alone.
+/// engine drives it in-process ([`SweepSpec::rows_in_process`]),
+/// crash-recoverably through the persistent store
+/// ([`SweepSpec::rows_durable`]), and over the fabric. Every instance
+/// must be a pure function of its index (and the spec), so a worker
+/// process can re-derive any leased range from the spec alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepSpec {
     /// Experiment E6 (Proposition 3.7 decider) for `k ∈ 1..=k_max`.
@@ -210,10 +177,10 @@ impl SweepSpec {
 
     /// Runs every fleet in-process under `runner`/`schedule` and merges
     /// the reports into table rows. This is the classic sweep path —
-    /// `experiments sweep … --workers N` without a store or process
-    /// pool — and the reference the cross-process tables are
-    /// byte-compared against; both end in [`rows_from_reports`], so they
-    /// agree by construction.
+    /// `experiments sweep … --workers N` without a store or processes —
+    /// and the reference every other path's tables are byte-compared
+    /// against; all of them end in [`rows_from_reports`], so they agree
+    /// by construction.
     pub fn rows_in_process(&self, runner: &BatchRunner, schedule: SessionSchedule) -> SweepRows {
         let reports: Vec<BatchReport> = self
             .fleets()
@@ -225,65 +192,61 @@ impl SweepSpec {
             .collect();
         rows_from_reports(*self, &reports)
     }
+
+    /// Runs every fleet in-process through its durable store
+    /// `<prefix>.<fleet>.cps` (see the module docs) and merges the
+    /// reports into table rows — `None` when the crash budget, which
+    /// applies per fleet, stopped a fleet dead: everything not yet in
+    /// its store is lost, and a `resume` run continues from there.
+    pub fn rows_durable(
+        &self,
+        prefix: &Path,
+        opts: &PoolRunOpts,
+    ) -> Result<Option<SweepRows>, PoolError> {
+        let mut reports = Vec::new();
+        for (fleet, _) in self.fleets() {
+            let run = DurableRun {
+                path: store_path(prefix, fleet),
+                opts,
+            };
+            let visited = visit_fleet(*self, fleet, run);
+            let Some(report) = visited.expect("spec.fleets() names only visitable fleets")? else {
+                return Ok(None);
+            };
+            reports.push(report);
+        }
+        Ok(Some(rows_from_reports(*self, &reports)))
+    }
 }
 
-/// Why a cross-process sweep failed.
+/// Why a sweep across processes or through a store failed.
 #[derive(Debug)]
 pub enum PoolError {
     /// Spawning or talking to a worker failed at the OS level.
     Io(std::io::Error),
-    /// A shard checkpoint store could not be opened or written.
+    /// A checkpoint store or ledger could not be opened or written.
     Store(StoreError),
-    /// A worker exited with a real error (not the crash exit).
+    /// A worker process exited unsuccessfully before the sweep completed.
     WorkerFailed {
-        /// Which shard failed.
-        shard: usize,
+        /// Which worker failed (its `--worker-id`).
+        worker: usize,
         /// Its exit code (`None`: killed by a signal).
         code: Option<i32>,
-        /// The tail of the worker's stderr (panic message included), for
-        /// the operator.
-        stderr: String,
     },
-    /// A worker hit its token budget and stopped dead (exit
-    /// [`WORKER_CRASH_EXIT`]); resume the pool to continue.
-    WorkerCrashed {
-        /// Which shard crashed.
-        shard: usize,
-        /// The tail of the worker's stderr (what it said on its way
-        /// down).
-        stderr: String,
-    },
-    /// A worker's stdout violated the `OUTCOME` protocol, or the merged
-    /// shards did not cover the instance space exactly once.
+    /// A worker violated the fabric protocol, or the ledger did not
+    /// cover the instance space when the sweep ended.
     Protocol(String),
 }
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PoolError::Io(e) => write!(f, "process pool I/O error: {e}"),
-            PoolError::Store(e) => write!(f, "process pool store error: {e}"),
-            PoolError::WorkerFailed {
-                shard,
-                code,
-                stderr,
-            } => match code {
-                Some(c) => write!(
-                    f,
-                    "worker shard {shard} failed with exit code {c}: {stderr}"
-                ),
-                None => write!(f, "worker shard {shard} was killed by a signal: {stderr}"),
+            PoolError::Io(e) => write!(f, "sweep I/O error: {e}"),
+            PoolError::Store(e) => write!(f, "sweep store error: {e}"),
+            PoolError::WorkerFailed { worker, code } => match code {
+                Some(c) => write!(f, "worker {worker} failed with exit code {c}"),
+                None => write!(f, "worker {worker} was killed by a signal"),
             },
-            PoolError::WorkerCrashed { shard, stderr } => {
-                write!(
-                    f,
-                    "worker shard {shard} crashed (token budget exhausted); resume to continue"
-                )?;
-                if !stderr.is_empty() {
-                    write!(f, ": {stderr}")?;
-                }
-                Ok(())
-            }
             PoolError::Protocol(what) => write!(f, "worker protocol violation: {what}"),
         }
     }
@@ -311,34 +274,21 @@ impl From<StoreError> for PoolError {
     }
 }
 
-/// Per-run options shared by the `shard` command and the parent pool.
+/// Options of a durable in-process sweep ([`SweepSpec::rows_durable`]).
 #[derive(Clone, Debug, Default)]
 pub struct PoolRunOpts {
-    /// Persist checkpoints under this path prefix (one store file per
-    /// fleet per shard). `None`: run without persistence.
-    pub store_prefix: Option<PathBuf>,
-    /// Recover existing shard stores and continue from their last
-    /// persisted boundaries; without it, a leftover store file is an
-    /// error (stale-store protection), never silently reused.
+    /// Recover existing stores and continue from their last persisted
+    /// boundaries; without it, a leftover store file is an error
+    /// (stale-store protection), never silently reused.
     pub resume: bool,
     /// Tokens between persisted checkpoints (clamped to ≥ 1).
     pub checkpoint_every: usize,
     /// Testing hook: per fleet, stop dead after feeding this many
-    /// tokens — the deterministic crash model. Requires a store prefix.
+    /// tokens — the deterministic crash model.
     pub crash_after_tokens: Option<u64>,
-    /// Batch-scheduler threads *inside each worker* (clamped to ≥ 1;
-    /// `Default` = 1, one serial sweep per process). Reports are
+    /// Batch-scheduler threads (clamped to ≥ 1). Reports are
     /// worker-count independent, so this only changes the wall clock.
     pub workers: usize,
-}
-
-/// The per-shard identity of one worker invocation.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardId {
-    /// This worker's shard index, `0 ≤ shard < of`.
-    pub shard: usize,
-    /// Total number of shards in the pool.
-    pub of: usize,
 }
 
 /// The table rows a sweep produced, whatever path computed them.
@@ -374,9 +324,9 @@ impl SweepRows {
 
 /// Folds per-fleet [`BatchReport`]s (in [`SweepSpec::fleets`] order)
 /// into table rows — the **single row-merge definition** every path
-/// ends in: the in-process sweep, the single-process persistent run,
-/// and the merged cross-process shards all call this, which is why
-/// their printed tables are byte-identical by construction.
+/// ends in: the in-process sweep, the durable run, and the fabric's
+/// ledger all call this, which is why their printed tables are
+/// byte-identical by construction.
 pub fn rows_from_reports(spec: SweepSpec, reports: &[BatchReport]) -> SweepRows {
     match spec {
         SweepSpec::E6 { k_max } => SweepRows::E6(e6_rows_from_report(k_max, &reports[0])),
@@ -391,25 +341,24 @@ pub fn rows_from_reports(spec: SweepSpec, reports: &[BatchReport]) -> SweepRows 
     }
 }
 
-/// The store file owned by `(fleet, shard)` under `prefix`. Single
-/// writer by construction: no two workers ever share a path, and the
-/// name encodes the pool width so resuming at a different width starts
-/// fresh instead of misassigning instances.
-pub fn shard_store_path(prefix: &Path, fleet: &str, shard: ShardId) -> PathBuf {
+/// The store file `<prefix>.<name>.cps`: a durable sweep's store for
+/// fleet `name`, or the `ledger` of `sweep --processes`. Fleet names
+/// never collide with `ledger`.
+pub(crate) fn store_path(prefix: &Path, name: &str) -> PathBuf {
     let mut os = prefix.as_os_str().to_os_string();
-    os.push(format!(".{fleet}.shard{}of{}.cps", shard.shard, shard.of));
+    os.push(format!(".{name}.cps"));
     PathBuf::from(os)
 }
 
 /// Every checkpoint store file under `prefix`, sorted: the `.cps` files
 /// whose names extend the prefix's file name **at a `.` boundary** (the
-/// shape [`shard_store_path`] writes), or `prefix` itself when it names
-/// a regular file, whatever its extension (a fabric coordinator's
+/// shape `sweep --store` writes), or `prefix` itself when it names a
+/// regular file, whatever its extension (a fabric coordinator's
 /// `--store` ledger is written at exactly the path it was given; opening
 /// a file that is not a store fails with `StoreError::NotAStore`). The
 /// separator requirement keeps sibling runs apart: `store compact
-/// /data/run1` must never touch `/data/run10.e6.shard0of2.cps`. This is
-/// what `experiments store compact|stats PREFIX` iterates — the operator
+/// /data/run1` must never touch `/data/run10.e6.cps`. This is what
+/// `experiments store compact|stats PREFIX` iterates — the operator
 /// passes the same prefix they swept with.
 pub fn find_store_files(prefix: &Path) -> std::io::Result<Vec<PathBuf>> {
     if prefix.is_file() {
@@ -435,16 +384,13 @@ pub fn find_store_files(prefix: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(found)
 }
 
-fn open_shard_store<D: Checkpointable>(
-    path: &Path,
-    resume: bool,
-) -> Result<CheckpointStore, StoreError> {
+fn open_store<D: Checkpointable>(path: &Path, resume: bool) -> Result<CheckpointStore, StoreError> {
     if resume {
-        // The scheduler owns these single-writer shard files, and resume
-        // only runs after the parent reaped the previous worker — the
-        // one situation where breaking an orphaned lock is sound. (A
-        // kill before the first append leaves a lock but no store file;
-        // break the orphan either way.)
+        // A durable sweep is its stores' single writer, and resume only
+        // runs after the previous run died — the one situation where
+        // breaking an orphaned lock is sound. (A kill before the first
+        // append leaves a lock but no store file; break the orphan
+        // either way.)
         CheckpointStore::break_lock(path)?;
         if path.exists() {
             return CheckpointStore::recover_for::<D>(path).map(|(store, _)| store);
@@ -454,22 +400,15 @@ fn open_shard_store<D: Checkpointable>(
     CheckpointStore::create_for::<D>(path)
 }
 
-/// The strided global indices `shard` owns out of a fleet of `count`
-/// instances — the pool's one sharding rule, shared so every scheduler
-/// that claims "shard w of P" means exactly the same instance set.
-pub fn shard_indices(shard: ShardId, count: usize) -> Vec<usize> {
-    (shard.shard..count).step_by(shard.of.max(1)).collect()
-}
-
 /// One visit to a fleet's task function with its concrete decider type.
 ///
 /// [`SweepSpec::fleets`] names the fleets, but each fleet's task builds
 /// a *different* decider type, so running "fleet X of spec S" needs a
 /// generic call site per fleet. This trait inverts that: a scheduler
 /// implements `visit` once, generically, and [`visit_fleet`] owns the
-/// single spec-to-task dispatch — the in-process sweep, the process-pool
-/// shard runner and the fabric worker all go through it, which is how
-/// their instance derivations stay identical by construction.
+/// single spec-to-task dispatch — the in-process sweep, the durable
+/// sweep and the fabric worker all go through it, which is how their
+/// instance derivations stay identical by construction.
 trait FleetVisitor {
     /// What the visit produces.
     type Out;
@@ -511,19 +450,16 @@ fn visit_fleet<V: FleetVisitor>(spec: SweepSpec, fleet: &str, visitor: V) -> Opt
     }
 }
 
-/// Runs one fleet's shard (strided indices, optional persistent store).
-/// Produces `Ok(true)` when the token budget crashed the fleet mid-run
-/// (outcomes gathered so far are discarded — a crash loses everything
-/// that is not in the store).
-struct ShardRun<'a> {
-    fleet: &'static str,
-    shard: ShardId,
+/// Runs one whole fleet through its durable store — the durable
+/// sweep's execution primitive. Produces `None` when the token budget
+/// crashed the fleet mid-run.
+struct DurableRun<'a> {
+    path: PathBuf,
     opts: &'a PoolRunOpts,
-    out: &'a mut WorkerOutcomes,
 }
 
-impl FleetVisitor for ShardRun<'_> {
-    type Out = Result<bool, PoolError>;
+impl FleetVisitor for DurableRun<'_> {
+    type Out = Result<Option<BatchReport>, PoolError>;
 
     fn visit<D, W, F>(self, count: usize, task: F) -> Self::Out
     where
@@ -531,40 +467,16 @@ impl FleetVisitor for ShardRun<'_> {
         W: IntoIterator<Item = oqsc_lang::Sym>,
         F: Fn(usize) -> (D, W) + Sync,
     {
-        let indices = shard_indices(self.shard, count);
-        let local_task = |j: usize| task(indices[j]);
-        let runner = BatchRunner::new(self.opts.workers.max(1));
-        let report = match &self.opts.store_prefix {
-            Some(prefix) => {
-                let path = shard_store_path(prefix, self.fleet, self.shard);
-                let mut store = open_shard_store::<D>(&path, self.opts.resume)?;
-                let budget = self.opts.crash_after_tokens.unwrap_or(u64::MAX);
-                match runner.run_resumable_budgeted(
-                    indices.len(),
-                    self.opts.checkpoint_every.max(1),
-                    &mut store,
-                    budget,
-                    local_task,
-                )? {
-                    Some(report) => report,
-                    None => return Ok(true),
-                }
-            }
-            None => {
-                if self.opts.crash_after_tokens.is_some() {
-                    return Err(PoolError::Protocol(
-                        "--crash-after-tokens requires --store (a crash without \
-                         persistence cannot be resumed)"
-                            .into(),
-                    ));
-                }
-                runner.run(indices.len(), SessionSchedule::Uninterrupted, local_task)
-            }
-        };
-        for (j, outcome) in report.outcomes.iter().enumerate() {
-            self.out.push((self.fleet, indices[j], *outcome));
-        }
-        Ok(false)
+        let mut store = open_store::<D>(&self.path, self.opts.resume)?;
+        Ok(
+            BatchRunner::new(self.opts.workers.max(1)).run_resumable_budgeted(
+                count,
+                self.opts.checkpoint_every.max(1),
+                &mut store,
+                self.opts.crash_after_tokens.unwrap_or(u64::MAX),
+                task,
+            )?,
+        )
     }
 }
 
@@ -637,70 +549,10 @@ pub fn fleet_outcomes(
     })
 }
 
-/// `(fleet, global index, outcome)` triples one worker reports.
-pub type WorkerOutcomes = Vec<(&'static str, usize, RunOutcome)>;
-
-/// Executes one worker's shard of `spec` and returns its outcomes — or
-/// `None` when the token budget crashed it (the budget applies per
-/// fleet; the first crashed fleet stops the worker, matching the
-/// resume-from-store contract). This is the whole of the `shard`
-/// command; the binary just prints the result with [`emit_outcomes`]
-/// and exits.
-pub fn worker_outcomes(
-    spec: SweepSpec,
-    shard: ShardId,
-    opts: &PoolRunOpts,
-) -> Result<Option<WorkerOutcomes>, PoolError> {
-    let mut out = Vec::new();
-    for (fleet, _) in spec.fleets() {
-        let run = ShardRun {
-            fleet,
-            shard,
-            opts,
-            out: &mut out,
-        };
-        let crashed =
-            visit_fleet(spec, fleet, run).expect("spec.fleets() names only visitable fleets")?;
-        if crashed {
-            return Ok(None);
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Writes the worker protocol: one
-/// `OUTCOME <fleet> <index> <accept> <bits> <qubits> <amplitudes>`
-/// line per instance (the shared
-/// [`fleet_outcome_line`](oqsc_serve::fleet_outcome_line) rendering the
-/// fabric also speaks). [`RunOutcome`] is all integers, so the text
-/// round trip is exact — merged cross-process reports are `==` to
-/// in-process ones.
-pub fn emit_outcomes(
-    out: &mut impl std::io::Write,
-    outcomes: &[(&'static str, usize, RunOutcome)],
-) -> std::io::Result<()> {
-    for (fleet, idx, o) in outcomes {
-        writeln!(
-            out,
-            "{}",
-            oqsc_serve::fleet_outcome_line(fleet, *idx as u64, o)
-        )?;
-    }
-    Ok(())
-}
-
-fn parse_outcome_line(line: &str) -> Result<(String, usize, RunOutcome), PoolError> {
-    let (fleet, idx, outcome) =
-        oqsc_serve::parse_fleet_outcome_line(line).map_err(PoolError::Protocol)?;
-    Ok((fleet, idx as usize, outcome))
-}
-
 /// An incrementally-merged sweep result: one slot per instance of every
-/// fleet in `spec`, filled from `(fleet, index, outcome)` triples as
-/// they arrive. This is the **single merge definition** behind both
-/// batch merging ([`rows_from_outcomes`], the process pool) and the
-/// fabric coordinator, which feeds it one `OUTCOME` line at a time and
-/// asks it when ranges — and the whole sweep — are complete.
+/// fleet in `spec`, filled from `(fleet, index, outcome)` reports as
+/// they arrive. The fabric coordinator feeds it one `OUTCOME` line at a
+/// time and asks it when ranges — and the whole sweep — are complete.
 pub struct OutcomeLedger {
     spec: SweepSpec,
     fleets: Vec<(&'static str, usize)>,
@@ -737,31 +589,12 @@ impl OutcomeLedger {
             .ok_or_else(|| PoolError::Protocol(format!("fleet {fleet:?} index {idx} out of range")))
     }
 
-    /// Records an outcome that must be the *first* report of its
-    /// instance — the process-pool contract, where shards partition the
-    /// index space and any duplicate is a protocol violation.
-    pub fn insert_new(
-        &mut self,
-        fleet: &str,
-        idx: usize,
-        outcome: RunOutcome,
-    ) -> Result<(), PoolError> {
-        let slot = self.slot_mut(fleet, idx)?;
-        if slot.replace(outcome).is_some() {
-            return Err(PoolError::Protocol(format!(
-                "fleet {fleet:?} index {idx} reported twice"
-            )));
-        }
-        self.remaining -= 1;
-        Ok(())
-    }
-
-    /// Records an outcome idempotently — the fabric contract, where a
-    /// re-leased range is legitimately re-executed. Every instance is a
-    /// pure function of its index, so a duplicate report must be
-    /// *identical*; returns `Ok(true)` for a fresh outcome, `Ok(false)`
-    /// for an identical duplicate, and a protocol error for a
-    /// conflicting one (a worker computing the wrong sweep).
+    /// Records an outcome idempotently: a re-leased or stolen range is
+    /// legitimately re-executed. Every instance is a pure function of its
+    /// index, so a duplicate report must be *identical*; returns
+    /// `Ok(true)` for a fresh outcome, `Ok(false)` for an identical
+    /// duplicate, and a protocol error for a conflicting one (a worker
+    /// computing the wrong sweep).
     pub fn merge(
         &mut self,
         fleet: &str,
@@ -818,262 +651,9 @@ impl OutcomeLedger {
     }
 }
 
-/// Merges `(fleet, index, outcome)` triples — from any number of shards
-/// — into index-ordered per-fleet [`BatchReport`]s and folds them into
-/// table rows. Errors if the triples do not cover every instance of
-/// every fleet exactly once.
-pub fn rows_from_outcomes(
-    spec: SweepSpec,
-    outcomes: impl IntoIterator<Item = (String, usize, RunOutcome)>,
-) -> Result<SweepRows, PoolError> {
-    let mut ledger = OutcomeLedger::new(spec);
-    for (fleet, idx, outcome) in outcomes {
-        ledger.insert_new(&fleet, idx, outcome)?;
-    }
-    ledger.into_rows()
-}
-
-/// Shards a sweep over OS worker processes (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProcessPool {
-    processes: usize,
-}
-
-impl ProcessPool {
-    /// A pool of `processes` worker processes (clamped to ≥ 1).
-    pub fn new(processes: usize) -> Self {
-        ProcessPool {
-            processes: processes.max(1),
-        }
-    }
-
-    /// Configured process count.
-    pub fn processes(&self) -> usize {
-        self.processes
-    }
-
-    /// Runs `spec` sharded over the pool: spawns `exe` (the
-    /// `experiments` binary — usually `std::env::current_exe()`) as
-    /// `exe shard NAME --shard w --of P …` once per shard, all
-    /// concurrently, and merges their `OUTCOME` streams into table rows
-    /// identical to the in-process sweep's. The cadence travels only
-    /// with a store: shard workers use it only to persist.
-    pub fn run(
-        &self,
-        exe: &Path,
-        spec: SweepSpec,
-        opts: &PoolRunOpts,
-    ) -> Result<SweepRows, PoolError> {
-        let mut children = Vec::with_capacity(self.processes);
-        for shard in 0..self.processes {
-            let mut cmd = Command::new(exe);
-            cmd.arg("shard")
-                .arg(spec.name())
-                .arg("--shard")
-                .arg(shard.to_string())
-                .arg("--of")
-                .arg(self.processes.to_string())
-                .arg("--k-max")
-                .arg(spec.k_max().to_string())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            if let Some(trials) = spec.trials() {
-                cmd.arg("--trials").arg(trials.to_string());
-            }
-            if opts.workers > 1 {
-                cmd.arg("--workers").arg(opts.workers.to_string());
-            }
-            if let Some(prefix) = &opts.store_prefix {
-                cmd.arg("--store")
-                    .arg(prefix)
-                    .arg("--checkpoint-every")
-                    .arg(opts.checkpoint_every.max(1).to_string());
-            }
-            if opts.resume {
-                cmd.arg("--resume");
-            }
-            if let Some(t) = opts.crash_after_tokens {
-                cmd.arg("--crash-after-tokens").arg(t.to_string());
-            }
-            match cmd.spawn() {
-                Ok(child) => children.push((shard, child)),
-                Err(e) => {
-                    // Never leave live writers behind: kill and reap the
-                    // shards already launched before reporting.
-                    for (_, mut child) in children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        // Reap *every* worker before judging any of them: returning
-        // early would leave live workers appending to their shard
-        // stores, and a subsequent resume (which breaks what it assumes
-        // are orphaned locks) would double-write those logs.
-        let outputs: Vec<(usize, std::io::Result<std::process::Output>)> = children
-            .into_iter()
-            .map(|(shard, child)| (shard, child.wait_with_output()))
-            .collect();
-        let mut merged = Vec::new();
-        let mut crashed_shard = None;
-        let mut first_error = None;
-        for (shard, output) in outputs {
-            let output = match output {
-                Ok(output) => output,
-                Err(e) => {
-                    first_error.get_or_insert(PoolError::Io(e));
-                    continue;
-                }
-            };
-            match output.status.code() {
-                Some(0) => {
-                    for line in String::from_utf8_lossy(&output.stdout).lines() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match parse_outcome_line(line) {
-                            Ok(triple) => merged.push(triple),
-                            Err(e) => {
-                                first_error.get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                Some(WORKER_CRASH_EXIT) => {
-                    crashed_shard = Some((shard, stderr_tail(&output.stderr)));
-                }
-                code => {
-                    // A real failure (panic, store error, signal): the
-                    // stderr tail carries the child's last words.
-                    first_error.get_or_insert(PoolError::WorkerFailed {
-                        shard,
-                        code,
-                        stderr: stderr_tail(&output.stderr),
-                    });
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        if let Some((shard, stderr)) = crashed_shard {
-            return Err(PoolError::WorkerCrashed { shard, stderr });
-        }
-        rows_from_outcomes(spec, merged)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outcome_lines_round_trip() {
-        let outcomes = vec![
-            (
-                "e6",
-                3usize,
-                RunOutcome {
-                    accept: true,
-                    classical_bits: 123,
-                    peak_qubits: 7,
-                    peak_amplitudes: 130,
-                },
-            ),
-            ("e6", 0, RunOutcome::default()),
-        ];
-        let mut wire = Vec::new();
-        emit_outcomes(&mut wire, &outcomes).expect("writes");
-        let text = String::from_utf8(wire).expect("utf8");
-        let parsed: Vec<_> = text
-            .lines()
-            .map(|l| parse_outcome_line(l).expect("parses"))
-            .collect();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "e6");
-        assert_eq!(parsed[0].1, 3);
-        assert_eq!(parsed[0].2, outcomes[0].2);
-        assert_eq!(parsed[1].2, RunOutcome::default());
-    }
-
-    #[test]
-    fn malformed_outcome_lines_are_protocol_errors() {
-        for line in [
-            "OUTCOM e6 0 1 2 3 4",
-            "OUTCOME e6 0 2 2 3 4", // accept flag must be 0/1
-            "OUTCOME e6 0 1 2 3",   // missing field
-            "OUTCOME e6 0 1 2 3 4 5",
-            "OUTCOME e6 x 1 2 3 4",
-        ] {
-            assert!(
-                matches!(parse_outcome_line(line), Err(PoolError::Protocol(_))),
-                "{line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_outcomes_must_cover_the_instance_space_exactly_once() {
-        let spec = SweepSpec::E6 { k_max: 2 };
-        let full: Vec<(String, usize, RunOutcome)> = (0..4)
-            .map(|i| ("e6".to_string(), i, RunOutcome::default()))
-            .collect();
-        assert!(rows_from_outcomes(spec, full.clone()).is_ok());
-        // A missing instance, a duplicate, an unknown fleet, and an
-        // out-of-range index are each protocol violations.
-        assert!(rows_from_outcomes(spec, full[..3].to_vec()).is_err());
-        let mut dup = full.clone();
-        dup.push(("e6".to_string(), 1, RunOutcome::default()));
-        assert!(rows_from_outcomes(spec, dup).is_err());
-        let mut alien = full.clone();
-        alien[0].0 = "f9".to_string();
-        assert!(rows_from_outcomes(spec, alien).is_err());
-        let mut oob = full;
-        oob[0].1 = 99;
-        assert!(rows_from_outcomes(spec, oob).is_err());
-    }
-
-    #[test]
-    fn stderr_tails_are_bounded_and_keep_both_ends() {
-        assert_eq!(stderr_tail(b""), "");
-        assert_eq!(
-            stderr_tail(b"thread panicked: boom\n"),
-            "thread panicked: boom"
-        );
-        // Oversized stderr keeps the head (where Rust prints the panic
-        // message, ahead of a RUST_BACKTRACE dump) *and* the tail (where
-        // final error lines land), eliding the middle.
-        let mut noisy = b"thread 'main' panicked at 'boom'\n".to_vec();
-        noisy.extend_from_slice(&vec![b'x'; 3 * STDERR_TAIL_BYTES]);
-        noisy.extend_from_slice(b"\nerror: final line");
-        let tail = stderr_tail(&noisy);
-        assert!(tail.starts_with("thread 'main' panicked at 'boom'"));
-        assert!(tail.contains('\u{2026}'));
-        assert!(tail.ends_with("error: final line"));
-        assert!(tail.len() <= STDERR_TAIL_BYTES + '\u{2026}'.len_utf8());
-    }
-
-    #[test]
-    fn crash_and_failure_errors_carry_the_worker_stderr() {
-        let crashed = PoolError::WorkerCrashed {
-            shard: 2,
-            stderr: "crashed after budget".into(),
-        };
-        let rendered = crashed.to_string();
-        assert!(rendered.contains("shard 2"), "{rendered}");
-        assert!(rendered.contains("crashed after budget"), "{rendered}");
-        let failed = PoolError::WorkerFailed {
-            shard: 1,
-            code: Some(101),
-            stderr: "thread 'main' panicked at 'boom'".into(),
-        };
-        let rendered = failed.to_string();
-        assert!(rendered.contains("exit code 101"), "{rendered}");
-        assert!(rendered.contains("panicked at 'boom'"), "{rendered}");
-    }
 
     #[test]
     fn f3_and_f4_specs_describe_their_fleets() {
@@ -1106,32 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn f3_and_f4_worker_shards_merge_to_the_in_process_rows() {
-        for spec in [
-            SweepSpec::F3 {
-                k_max: 2,
-                trials: 9,
-            },
-            SweepSpec::F4 { k: 2, trials: 8 },
-        ] {
-            let mut merged = Vec::new();
-            for shard in 0..3 {
-                let out = worker_outcomes(spec, ShardId { shard, of: 3 }, &PoolRunOpts::default())
-                    .expect("runs")
-                    .expect("no budget, no crash");
-                merged.extend(
-                    out.into_iter()
-                        .map(|(fleet, idx, o)| (fleet.to_string(), idx, o)),
-                );
-            }
-            let rows = rows_from_outcomes(spec, merged).expect("complete");
-            let reference =
-                spec.rows_in_process(&BatchRunner::new(2), SessionSchedule::Uninterrupted);
-            assert_eq!(rows, reference, "{}", spec.name());
-        }
-    }
-
-    #[test]
     fn find_store_files_matches_the_shard_naming() {
         let mut dir = std::env::temp_dir();
         dir.push(format!("oqsc-find-stores-{}", std::process::id()));
@@ -1139,13 +693,14 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let prefix = dir.join("sweep");
         for name in [
-            "sweep.e6.shard0of2.cps",
-            "sweep.e6.shard1of2.cps",
-            "sweep.e6.shard0of2.cps.lock",
-            "other.e6.shard0of1.cps",
+            "sweep.quantum.cps",
+            "sweep.classical.cps",
+            "sweep.ledger.cps",
+            "sweep.quantum.cps.lock",
+            "other.e6.cps",
             // A sibling run whose name merely *starts with* the prefix:
             // the `.` separator requirement must keep it out.
-            "sweep2.e6.shard0of1.cps",
+            "sweep2.e6.cps",
             "sweep.notes.txt",
         ] {
             std::fs::write(dir.join(name), b"x").expect("write");
@@ -1155,10 +710,17 @@ mod tests {
             .iter()
             .map(|p| p.file_name().expect("name").to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names, ["sweep.e6.shard0of2.cps", "sweep.e6.shard1of2.cps"]);
+        assert_eq!(
+            names,
+            [
+                "sweep.classical.cps",
+                "sweep.ledger.cps",
+                "sweep.quantum.cps"
+            ]
+        );
         // A direct path to one store file is accepted as-is, with or
         // without the `.cps` extension (a fabric coordinator's ledger).
-        let one = find_store_files(&dir.join("other.e6.shard0of1.cps")).expect("scan");
+        let one = find_store_files(&dir.join("other.e6.cps")).expect("scan");
         assert_eq!(one.len(), 1);
         std::fs::write(dir.join("ledger"), b"x").expect("write");
         let ledger = find_store_files(&dir.join("ledger")).expect("scan");
@@ -1213,22 +775,31 @@ mod tests {
         assert!(ledger.is_complete());
         assert!(ledger.range_complete(0, 0, 4));
         assert!(ledger.into_rows().is_ok());
+        // The rows need every instance: a ledger still missing one
+        // cannot fold.
+        let mut partial = OutcomeLedger::new(spec);
+        for idx in 0..3 {
+            partial
+                .merge("e6", idx, RunOutcome::default())
+                .expect("fresh");
+        }
+        assert!(matches!(partial.into_rows(), Err(PoolError::Protocol(_))));
     }
 
     #[test]
     fn fleet_outcomes_runs_granted_ranges_and_rejects_bad_grants() {
         let spec = SweepSpec::E6 { k_max: 3 };
-        // A leased range must reproduce exactly the shard runner's
+        // A leased range must reproduce exactly the whole fleet's
         // outcomes for the same indices.
-        let mut shard_out = Vec::new();
-        let all = worker_outcomes(spec, ShardId { shard: 0, of: 1 }, &PoolRunOpts::default())
-            .expect("runs")
-            .expect("no crash");
-        shard_out.extend(all);
+        let reference = BatchRunner::serial().run(
+            e6_instance_count(3),
+            SessionSchedule::Uninterrupted,
+            e6_task,
+        );
         let indices: Vec<usize> = (2..5).collect();
         let ranged = fleet_outcomes(spec, "e6", &indices, 2).expect("runs");
         for (j, &i) in indices.iter().enumerate() {
-            assert_eq!(ranged[j], shard_out[i].2, "index {i}");
+            assert_eq!(ranged[j], reference.outcomes[i], "index {i}");
         }
         assert!(matches!(
             fleet_outcomes(spec, "f9", &[0], 1),
@@ -1238,48 +809,5 @@ mod tests {
             fleet_outcomes(spec, "e6", &[10_000], 1),
             Err(PoolError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn shard_indices_stride_the_instance_space() {
-        assert_eq!(shard_indices(ShardId { shard: 0, of: 2 }, 5), [0, 2, 4]);
-        assert_eq!(shard_indices(ShardId { shard: 1, of: 2 }, 5), [1, 3]);
-        assert_eq!(shard_indices(ShardId { shard: 3, of: 4 }, 2), []);
-        // A zero width is clamped rather than dividing by zero.
-        assert_eq!(shard_indices(ShardId { shard: 0, of: 0 }, 3), [0, 1, 2]);
-    }
-
-    #[test]
-    fn worker_outcomes_match_the_in_process_sweep() {
-        // Two shards of the E6 sweep, merged, equal the one-shot rows.
-        let spec = SweepSpec::E6 { k_max: 3 };
-        let mut merged = Vec::new();
-        for shard in 0..2 {
-            let out = worker_outcomes(spec, ShardId { shard, of: 2 }, &PoolRunOpts::default())
-                .expect("runs")
-                .expect("no budget, no crash");
-            merged.extend(
-                out.into_iter()
-                    .map(|(fleet, idx, o)| (fleet.to_string(), idx, o)),
-            );
-        }
-        let rows = rows_from_outcomes(spec, merged).expect("complete");
-        let reference = crate::experiments::e6_classical_rows(
-            3,
-            &BatchRunner::new(2),
-            SessionSchedule::Uninterrupted,
-        );
-        match rows {
-            SweepRows::E6(rows) => {
-                assert_eq!(rows.len(), reference.len());
-                for (a, b) in rows.iter().zip(&reference) {
-                    assert_eq!(
-                        (a.k, a.n, a.space_bits, a.correct),
-                        (b.k, b.n, b.space_bits, b.correct)
-                    );
-                }
-            }
-            other => panic!("expected E6 rows, got {other:?}"),
-        }
     }
 }

@@ -34,7 +34,6 @@ fn every_command_prints_its_help_on_stdout() {
         (vec!["tables", "--help"], "experiments tables"),
         (vec!["sweep", "--help"], "experiments sweep NAME"),
         (vec!["sweep", "e6", "--help"], "experiments sweep NAME"),
-        (vec!["shard", "--help"], "experiments shard NAME"),
         (vec!["fabric", "--help"], "experiments fabric coordinate"),
         (vec!["fabric", "coordinate", "--help"], "experiments fabric"),
         (vec!["fabric", "work", "--help"], "experiments fabric work"),
@@ -66,11 +65,6 @@ fn a_flag_of_another_command_is_a_usage_error() {
             vec!["sweep", "e6", "--live-budget", "5"],
             "sweep",
             "--live-budget",
-        ),
-        (
-            vec!["shard", "e6", "--break-locks"],
-            "shard",
-            "--break-locks",
         ),
         (
             vec!["fabric", "coordinate", &path, "e6", "--workers", "2"],
@@ -145,36 +139,24 @@ fn unknown_commands_bare_runs_and_old_spellings_exit_2() {
     ] {
         usage_error(&old);
     }
+    // The pool's worker command is gone too.
+    let stderr = usage_error(&["shard", "e6", "--shard", "0", "--of", "1"]);
+    assert!(stderr.contains("unknown command shard"), "{stderr}");
 }
 
 #[test]
-fn shard_refuses_processes_and_a_cadence_without_a_store() {
-    let stderr = usage_error(&[
-        "shard",
-        "e6",
-        "--shard",
-        "0",
-        "--of",
-        "2",
-        "--processes",
-        "3",
-    ]);
-    assert!(
-        stderr.contains("experiments shard does not take --processes"),
-        "{stderr}"
-    );
-    let stderr = usage_error(&[
-        "shard",
-        "e6",
-        "--shard",
-        "0",
-        "--of",
-        "1",
-        "--checkpoint-every",
-        "7",
-    ]);
-    assert!(
-        stderr.contains("--checkpoint-every requires --store"),
-        "{stderr}"
-    );
+fn sweep_processes_refuse_mid_instance_checkpoint_flags() {
+    let dir = std::env::temp_dir().join(format!("oqsc-cli-ckpt-{}", std::process::id()));
+    let prefix = dir.join("p").display().to_string();
+    for extra in [
+        vec!["--checkpoint-every", "7"],
+        vec!["--store", &prefix, "--crash-after-tokens", "5"],
+    ] {
+        let stderr = usage_error(&[&["sweep", "e6", "--processes", "2"][..], &extra].concat());
+        assert!(
+            stderr.contains("--processes takes neither") && stderr.contains("--workers N --store"),
+            "{extra:?}: {stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a rejected sweep touched the file system");
 }

@@ -23,6 +23,7 @@ use oqsc_machine::{BatchRunner, SessionSchedule};
 use oqsc_serve::{FabricRequest, FabricResponse, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 fn spec_e6(k_max: u32) -> SweepSpec {
@@ -56,7 +57,11 @@ fn unix_fabric_with_a_straggler_matches_the_in_process_sweep() {
     .expect("bind coordinator");
 
     let (rows, slow, fast) = std::thread::scope(|scope| {
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+        let coord = scope.spawn(move || {
+            coordinator
+                .run(&AtomicBool::new(false))
+                .expect("coordinate")
+        });
         // A deliberate straggler: one instance per 40 ms guarantees the
         // fast worker exhausts the open pool and steals its tail.
         let slow = scope.spawn(|| {
@@ -121,7 +126,11 @@ fn tcp_fabric_releases_a_vanished_clients_lease() {
     // Asserts live outside the scope: a panic inside would leave the
     // coordinator serving forever and deadlock the join.
     let (rows, grant_line, report) = std::thread::scope(|scope| {
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+        let coord = scope.spawn(move || {
+            coordinator
+                .run(&AtomicBool::new(false))
+                .expect("coordinate")
+        });
 
         // A client that leases a range and disconnects without reporting
         // a single outcome (no heartbeat either): its lease must lapse
@@ -185,7 +194,11 @@ fn f1_fabric_survives_a_mid_lease_death() {
 
     let (rows, grant_line, report) = std::thread::scope(|scope| {
         let coordinator = coordinator;
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+        let coord = scope.spawn(move || {
+            coordinator
+                .run(&AtomicBool::new(false))
+                .expect("coordinate")
+        });
         let grant_line = {
             let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
             stream
@@ -231,7 +244,11 @@ fn coordinator_answers_hostile_lines_and_keeps_the_connection() {
     // Nothing inside the scope may panic: the coordinator only returns
     // once a worker has finished the sweep.
     let (answers, rows) = std::thread::scope(|scope| {
-        let coord = scope.spawn(move || coordinator.run().expect("coordinate"));
+        let coord = scope.spawn(move || {
+            coordinator
+                .run(&AtomicBool::new(false))
+                .expect("coordinate")
+        });
         let answers = {
             let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));

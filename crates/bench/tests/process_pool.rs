@@ -5,26 +5,31 @@
 //! * 1/2/4-process runs of **every registered sweep** (E6, F1, F3, F4)
 //!   print tables **byte-identical** to the in-process `--workers N`
 //!   runs;
-//! * a sweep killed mid-run (worker processes exiting the crash way)
-//!   and resumed from the persisted shard stores prints the identical
-//!   table — and the resume *skips* instances whose outcomes were
-//!   persisted;
-//! * `store compact` shrinks resume-heavy stores via atomic rename and
-//!   a further `--resume` still prints the identical table;
-//! * a worker that dies with a real error surfaces its stderr tail in
-//!   the parent's error message;
-//! * stale stores are refused without `--resume`, and orphaned lock
+//! * one ledger serves both fabric front ends: a `fabric coordinate
+//!   --store` ledger whose coordinator and worker were SIGKILLed
+//!   mid-sweep is finished by `sweep --processes 2 --store PREFIX
+//!   --resume` with the identical table;
+//! * workers that die or exit early never hang `sweep --processes`,
+//!   and leave no child process or private socket directory behind;
+//! * `store compact` shrinks a killed-and-resumed durable sweep's stores
+//!   via atomic rename and a further `--resume` still prints the
+//!   identical table;
+//! * stale ledgers are refused without `--resume`, and orphaned lock
 //!   files block a fresh run until broken.
 //!
 //! CI runs this suite under `--release`.
 
+use oqsc_bench::{run_private_fabric, PoolError, SweepSpec};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const WORKER_CRASH_EXIT: i32 = 9;
 
+const BIN: &str = env!("CARGO_BIN_EXE_experiments");
+
 fn experiments(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_experiments"))
+    Command::new(BIN)
         .args(args)
         .output()
         .expect("spawn experiments binary")
@@ -97,129 +102,142 @@ fn process_pools_print_tables_byte_identical_to_in_process_runs() {
     }
 }
 
-#[test]
-fn killed_pool_resumes_to_the_identical_table() {
-    let reference = stdout_of(&["sweep", "e6", "--k-max", "4"]);
-    for processes in ["1", "2", "4"] {
-        let prefix = temp_prefix(&format!("crash-{processes}"));
-        let prefix_s = prefix.to_string_lossy().into_owned();
-        // Kill the sweep mid-run: every worker stops dead after 300
-        // tokens (well inside the k=4 instance stream) having persisted
-        // only whole 64-token segments.
-        let crashed = experiments(&[
-            "sweep",
-            "e6",
-            "--k-max",
-            "4",
-            "--processes",
-            processes,
-            "--store",
-            &prefix_s,
-            "--checkpoint-every",
-            "64",
-            "--crash-after-tokens",
-            "300",
-        ]);
-        assert_eq!(
-            crashed.status.code(),
-            Some(WORKER_CRASH_EXIT),
-            "stderr: {}",
-            String::from_utf8_lossy(&crashed.stderr)
-        );
-        assert!(
-            String::from_utf8_lossy(&crashed.stderr).contains("resume"),
-            "crash message tells the operator how to continue"
-        );
-        // Resume from nothing but the shard store files.
-        let resumed = stdout_of(&[
-            "sweep",
-            "e6",
-            "--k-max",
-            "4",
-            "--processes",
-            processes,
-            "--store",
-            &prefix_s,
-            "--checkpoint-every",
-            "64",
-            "--resume",
-        ]);
-        assert_eq!(
-            resumed, reference,
-            "{processes}-process resumed table differs from uninterrupted"
-        );
-        cleanup_prefix(&prefix);
-    }
+/// Spawns `experiments ARGS` with both output streams to null.
+fn spawn_quiet(args: &[&str]) -> Child {
+    Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn experiments binary")
 }
 
-#[test]
-fn f1_pool_with_persistence_survives_a_kill_too() {
-    // The F1 sweep checkpoints two fleets (quantum registers included).
-    let reference = stdout_of(&["sweep", "f1", "--k-max", "3"]);
-    let prefix = temp_prefix("f1-crash");
+/// Polls `ready` every 20 ms for up to 60 s.
+fn wait_until(mut ready: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while Instant::now() < deadline {
+        if ready() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    false
+}
+
+/// One ledger for both front ends. A `fabric coordinate` keeps its
+/// ledger at `PREFIX.ledger.cps` while one throttled `fabric work` runs
+/// the sweep `base` (a `sweep NAME …` argument list); both are SIGKILLed
+/// once the ledger holds a record. `sweep --processes 2 --store PREFIX
+/// --resume` must then finish the sweep from that ledger with the
+/// in-process table, and a fresh run over it must refuse it.
+fn killed_fabric_ledger_resumes_under_processes(base: &[&str], name: &str) {
+    let reference = stdout_of(base);
+    let prefix = temp_prefix(name);
     let prefix_s = prefix.to_string_lossy().into_owned();
-    let crashed = experiments(&[
-        "sweep",
-        "f1",
-        "--k-max",
-        "3",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "32",
-        "--crash-after-tokens",
-        "100",
-    ]);
-    assert_eq!(crashed.status.code(), Some(WORKER_CRASH_EXIT));
-    let resumed = stdout_of(&[
-        "sweep",
-        "f1",
-        "--k-max",
-        "3",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "32",
-        "--resume",
-    ]);
-    assert_eq!(resumed, reference);
+    let ledger = format!("{prefix_s}.ledger.cps");
+    let sock = format!("{prefix_s}.sock");
+    let sweep = &base[1..];
+    let mut coordinator = spawn_quiet(
+        &[
+            &["fabric", "coordinate", &sock][..],
+            sweep,
+            &["--store", &ledger],
+        ]
+        .concat(),
+    );
+    let bound = wait_until(|| Path::new(&sock).exists());
+    let mut worker = spawn_quiet(
+        &[
+            &["fabric", "work", &sock][..],
+            sweep,
+            &["--throttle-ms", "300"],
+        ]
+        .concat(),
+    );
+    // `store stats` cannot read the ledger here: it takes the lock the
+    // live coordinator holds. A file longer than its header holds a
+    // record.
+    let recorded = bound
+        && wait_until(|| {
+            let header = oqsc_machine::peek_header(&ledger);
+            let len = std::fs::metadata(&ledger).map(|m| m.len());
+            matches!((header, len), (Ok(h), Ok(len)) if len > h.len)
+        });
+    for child in [&mut worker, &mut coordinator] {
+        child.kill().expect("SIGKILL");
+        child.wait().expect("reap");
+    }
+    assert!(recorded, "{name}: the ledger never grew past its header");
+    let processes = ["--processes", "2", "--store", &prefix_s];
+    let resumed = stdout_of(&[base, &processes[..], &["--resume"]].concat());
+    assert_eq!(resumed, reference, "{name}: resumed table differs");
+    let fresh = experiments(&[base, &processes[..]].concat());
+    assert_eq!(fresh.status.code(), Some(1), "{name}");
+    assert!(
+        String::from_utf8_lossy(&fresh.stderr).contains("already exists"),
+        "{name}: stderr {}",
+        String::from_utf8_lossy(&fresh.stderr)
+    );
     cleanup_prefix(&prefix);
 }
 
 #[test]
+fn killed_pool_resumes_to_the_identical_table() {
+    killed_fabric_ledger_resumes_under_processes(&["sweep", "e6", "--k-max", "4"], "e6-kill");
+}
+
+#[test]
+fn f1_pool_with_persistence_survives_a_kill_too() {
+    // Two fleets, so the ledger's ids carry fleet positions.
+    killed_fabric_ledger_resumes_under_processes(&["sweep", "f1", "--k-max", "3"], "f1-kill");
+}
+
+#[test]
 fn f3_and_f4_pools_with_persistence_survive_kills_too() {
-    for (base, crash) in [
-        (vec!["sweep", "f3", "--k-max", "2", "--trials", "30"], "200"),
-        (vec!["sweep", "f4", "--k-max", "2", "--trials", "25"], "150"),
+    for base in [
+        ["sweep", "f3", "--k-max", "2", "--trials", "30"],
+        ["sweep", "f4", "--k-max", "2", "--trials", "25"],
     ] {
-        let sweep = base[1];
-        let reference = stdout_of(&base);
-        let prefix = temp_prefix(&format!("{sweep}-crash"));
-        let prefix_s = prefix.to_string_lossy().into_owned();
-        let store_args = ["--store", &prefix_s, "--checkpoint-every", "16"];
-        let crashed = experiments(
-            &[
-                &base[..],
-                &["--processes", "2"],
-                &store_args,
-                &["--crash-after-tokens", crash],
-            ]
-            .concat(),
+        killed_fabric_ledger_resumes_under_processes(&base, &format!("{}-kill", base[1]));
+    }
+}
+
+#[test]
+fn dead_workers_never_hang_a_private_fabric() {
+    // `false` fails at once; `true` exits 0 without ever connecting.
+    // Either way the sweep cannot complete, and must say so promptly.
+    let spec = SweepSpec::from_cli("e6", 3, 0).expect("e6 spec");
+    let private = format!("oqsc-private-{}-", std::process::id());
+    for exe in ["false", "true"] {
+        let started = Instant::now();
+        let err = run_private_fabric(Path::new(exe), spec, 2, 1, None, false)
+            .expect_err("a sweep without live workers cannot complete");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{exe}: took {:?}",
+            started.elapsed()
         );
-        assert_eq!(
-            crashed.status.code(),
-            Some(WORKER_CRASH_EXIT),
-            "{sweep}: stderr: {}",
-            String::from_utf8_lossy(&crashed.stderr)
-        );
-        let resumed =
-            stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
-        assert_eq!(resumed, reference, "{sweep}: resumed table differs");
-        cleanup_prefix(&prefix);
+        match exe {
+            "false" => assert!(
+                matches!(err, PoolError::WorkerFailed { code: Some(1), .. }),
+                "{exe}: {err}"
+            ),
+            _ => assert!(
+                err.to_string()
+                    .contains("exited before the sweep completed"),
+                "{exe}: {err}"
+            ),
+        }
+        // Every child was reaped (this thread spawned them all)...
+        let children = std::fs::read_to_string("/proc/thread-self/children").unwrap_or_default();
+        assert!(children.trim().is_empty(), "{exe}: children {children:?}");
+        // ...and the private socket directory is gone.
+        let leftover: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .expect("temp dir")
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&private))
+            .collect();
+        assert!(leftover.is_empty(), "{exe}: {leftover:?}");
     }
 }
 
@@ -234,21 +252,17 @@ fn compaction_between_resumes_keeps_tables_byte_identical() {
     let prefix = temp_prefix("compact-cycle");
     let prefix_s = prefix.to_string_lossy().into_owned();
     let store_args = ["--store", &prefix_s, "--checkpoint-every", "32"];
-    let crashed = experiments(
-        &[
-            &base[..],
-            &["--processes", "2"],
-            &store_args,
-            &["--crash-after-tokens", "300"],
-        ]
-        .concat(),
-    );
+    let crashed = experiments(&[&base[..], &store_args, &["--crash-after-tokens", "300"]].concat());
     assert_eq!(crashed.status.code(), Some(WORKER_CRASH_EXIT));
-    let first = stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
+    assert!(
+        String::from_utf8_lossy(&crashed.stderr).contains("resume"),
+        "crash message tells the operator how to continue"
+    );
+    let first = stdout_of(&[&base[..], &store_args, &["--resume"]].concat());
     assert_eq!(first, reference, "resume before compaction");
     let sizes_before: Vec<(PathBuf, u64)> = store_files(&prefix);
-    assert!(!sizes_before.is_empty(), "shard stores exist");
-    // Compact every shard store under the prefix.
+    assert!(!sizes_before.is_empty(), "fleet stores exist");
+    // Compact every store under the prefix.
     let compacted = experiments(&["store", "compact", &prefix_s]);
     assert!(
         compacted.status.success(),
@@ -271,8 +285,7 @@ fn compaction_between_resumes_keeps_tables_byte_identical() {
     }
     // A further resume over the compacted stores: byte-identical, and
     // instant (every instance finished, so outcomes are just read back).
-    let second =
-        stdout_of(&[&base[..], &["--processes", "2"], &store_args, &["--resume"]].concat());
+    let second = stdout_of(&[&base[..], &store_args, &["--resume"]].concat());
     assert_eq!(second, reference, "resume after compaction");
     cleanup_prefix(&prefix);
 }
@@ -297,10 +310,10 @@ fn store_files(prefix: &Path) -> Vec<(PathBuf, u64)> {
 }
 
 #[test]
-fn failed_workers_surface_their_stderr_in_the_parent_error() {
-    // Point the shard stores into a directory that does not exist: the
-    // worker dies with a real store error on stderr, and the parent's
-    // error message must carry that tail (not just an exit code).
+fn a_ledger_in_a_missing_directory_fails_before_any_worker_starts() {
+    // The parent opens the ledger before it spawns anyone, so a store
+    // prefix in a directory that does not exist is a plain runtime error
+    // naming the ledger.
     let mut missing = std::env::temp_dir();
     missing.push(format!("oqsc-pool-missing-{}", std::process::id()));
     missing.push("nope");
@@ -315,19 +328,14 @@ fn failed_workers_surface_their_stderr_in_the_parent_error() {
         "2",
         "--store",
         &missing_s,
-        "--checkpoint-every",
-        "16",
     ]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("worker shard"),
-        "parent names the shard: {stderr}"
+        stderr.contains(&format!("{missing_s}.ledger.cps")),
+        "the error names the ledger: {stderr}"
     );
-    assert!(
-        stderr.contains("I/O error") || stderr.contains("No such file"),
-        "parent surfaces the child's own message: {stderr}"
-    );
+    assert!(!stderr.contains("fabric worker"), "no worker ran: {stderr}");
 }
 
 #[test]
@@ -368,7 +376,7 @@ fn compact_validates_its_flags_and_missing_prefixes() {
 fn stale_stores_are_refused_without_resume() {
     let prefix = temp_prefix("stale");
     let prefix_s = prefix.to_string_lossy().into_owned();
-    let first = experiments(&[
+    let run = [
         "sweep",
         "e6",
         "--k-max",
@@ -377,44 +385,21 @@ fn stale_stores_are_refused_without_resume() {
         "2",
         "--store",
         &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    ];
+    let first = experiments(&run);
     assert!(first.status.success());
-    // Re-running fresh over the leftover stores must refuse, loudly.
-    let second = experiments(&[
-        "sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    assert!(PathBuf::from(format!("{prefix_s}.ledger.cps")).exists());
+    // Re-running fresh over the leftover ledger must refuse, loudly.
+    let second = experiments(&run);
     assert_eq!(second.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&second.stderr).contains("already exists"),
         "stderr: {}",
         String::from_utf8_lossy(&second.stderr)
     );
-    // With --resume the finished shards replay from their last
-    // checkpoints and the table matches the plain run.
-    let resumed = stdout_of(&[
-        "sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "2",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-        "--resume",
-    ]);
+    // With --resume the complete ledger alone prints the table of the
+    // plain run.
+    let resumed = stdout_of(&[&run[..], &["--resume"]].concat());
     assert_eq!(resumed, stdout_of(&["sweep", "e6", "--k-max", "2"]));
     cleanup_prefix(&prefix);
 }
@@ -423,11 +408,11 @@ fn stale_stores_are_refused_without_resume() {
 fn orphaned_locks_block_fresh_runs() {
     let prefix = temp_prefix("orphan");
     let prefix_s = prefix.to_string_lossy().into_owned();
-    // Simulate a kill that left shard 0's lock file behind (the
-    // simulated-crash path releases locks; a real SIGKILL would not).
-    let lock = PathBuf::from(format!("{prefix_s}.e6.shard0of1.cps.lock"));
+    // Simulate a SIGKILLed coordinator: its ledger's lock file is left
+    // behind.
+    let lock = PathBuf::from(format!("{prefix_s}.ledger.cps.lock"));
     std::fs::write(&lock, b"314159").expect("orphan lock");
-    let blocked = experiments(&[
+    let run = [
         "sweep",
         "e6",
         "--k-max",
@@ -436,30 +421,17 @@ fn orphaned_locks_block_fresh_runs() {
         "1",
         "--store",
         &prefix_s,
-        "--checkpoint-every",
-        "16",
-    ]);
+    ];
+    let blocked = experiments(&run);
     assert_eq!(blocked.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&blocked.stderr).contains("lock"),
         "stderr: {}",
         String::from_utf8_lossy(&blocked.stderr)
     );
-    // A resume run owns the shard files and may break the orphan (the
-    // parent reaped the only possible writer).
-    let resumed = experiments(&[
-        "sweep",
-        "e6",
-        "--k-max",
-        "2",
-        "--processes",
-        "1",
-        "--store",
-        &prefix_s,
-        "--checkpoint-every",
-        "16",
-        "--resume",
-    ]);
+    // A resume run owns the ledger and may break the orphan (its writer
+    // is known dead).
+    let resumed = experiments(&[&run[..], &["--resume"]].concat());
     assert!(
         resumed.status.success(),
         "stderr: {}",
@@ -478,12 +450,7 @@ fn cli_rejects_inconsistent_flag_combinations() {
         ),
         (
             vec!["sweep", "e6", "--processes", "2", "--checkpoint-every", "7"],
-            "only to persist",
-        ),
-        (vec!["shard", "e6"], "shard requires --shard and --of"),
-        (
-            vec!["shard", "e6", "--shard", "5", "--of", "2"],
-            "must be < --of",
+            "--processes takes neither",
         ),
         (vec!["sweep", "nope"], "expected one of"),
         (vec!["sweep", "e6", "--k-max", "99"], "between 1 and"),
