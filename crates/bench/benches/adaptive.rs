@@ -20,8 +20,10 @@
 //! by the equivalence suites; this bench measures only time.
 //!
 //! A third group times one whole A3 round — three streamed blocks and the
-//! diffusion — at `k = 4, 6, 8` on each backend, the per-round cost
-//! DESIGN.md §2 quotes.
+//! closed-form diffusion — at `k = 4, 6, 8` on each backend, the
+//! per-round cost DESIGN.md §2 quotes. A fourth times the diffusion
+//! alone, closed form (`-closed`) against the `U_k S_k U_k` sweeps it
+//! replaced (`-sweeps`), at the same sizes.
 //!
 //! ```text
 //! cargo bench -p oqsc-bench --bench adaptive
@@ -103,11 +105,9 @@ fn bench_record_densify(c: &mut Criterion) {
     group.finish();
 }
 
-/// One A3 round as the streamer runs it: the `x`, `y` and `z = x` blocks
-/// bit by bit (`V_x`, `W_y`, `V_x`), then the diffusion `U_k S_k U_k`.
-/// With `z = x` a round maps an A3 register to another on the same
-/// `2^{2k}` support, so the bench can keep iterating one register.
-fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
+/// The oracle half of an A3 round as the streamer runs it: the `x`, `y`
+/// and `z = x` blocks bit by bit (`V_x`, `W_y`, `V_x`).
+fn a3_oracle<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
     for (i, &xi) in x.iter().enumerate() {
         layout.apply_vx_bit(s, i, xi);
     }
@@ -117,9 +117,15 @@ fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: 
     for (i, &xi) in x.iter().enumerate() {
         layout.apply_vx_bit(s, i, xi);
     }
-    layout.apply_uk(s);
-    layout.apply_sk(s);
-    layout.apply_uk(s);
+}
+
+/// One A3 round as the streamer runs it: [`a3_oracle`], then the
+/// diffusion `U_k S_k U_k` in closed form. With `z = x` a round maps an
+/// A3 register to another on the same `2^{2k}` support, so the bench can
+/// keep iterating one register.
+fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
+    a3_oracle(layout, s, x, y);
+    layout.apply_diffusion(s);
 }
 
 fn bench_round_on<B: QuantumBackend>(
@@ -155,10 +161,54 @@ fn bench_a3_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// The diffusion alone, closed form against the `U_k S_k U_k` sweeps it
+/// replaced, on an A3 register one oracle into its run.
+fn bench_diffusion_on<B: QuantumBackend>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    k: u32,
+    x: &[bool],
+    y: &[bool],
+) {
+    let layout = GroverLayout::for_k(k);
+    let mut s: B = layout.phi_in();
+    a3_oracle(&layout, &mut s, x, y);
+    let mut closed = s.clone();
+    group.bench_function(BenchmarkId::new(&format!("{name}-closed"), k), |b| {
+        b.iter(|| layout.apply_diffusion(black_box(&mut closed)))
+    });
+    group.bench_function(BenchmarkId::new(&format!("{name}-sweeps"), k), |b| {
+        b.iter(|| {
+            layout.apply_uk(black_box(&mut s));
+            layout.apply_sk(&mut s);
+            layout.apply_uk(&mut s);
+        })
+    });
+}
+
+/// The per-op cost of the closed-form diffusion against the sweeps at
+/// `k = 4, 6, 8` on each backend.
+fn bench_a3_diffusion(c: &mut Criterion) {
+    let mut group = c.benchmark_group("adaptive/a3-diffusion");
+    group.sample_size(10);
+    for k in [4u32, 6, 8] {
+        let mut rng = StdRng::seed_from_u64(0xD1FF + u64::from(k));
+        let domain = GroverLayout::for_k(k).domain();
+        let mut bits = || -> Vec<bool> { (0..domain).map(|_| rng.gen()).collect() };
+        let (x, y) = (bits(), bits());
+        bench_diffusion_on::<StateVector>(&mut group, "dense", k, &x, &y);
+        bench_diffusion_on::<ParallelStateVector>(&mut group, "parallel", k, &x, &y);
+        bench_diffusion_on::<SparseState>(&mut group, "sparse", k, &x, &y);
+        bench_diffusion_on::<AdaptiveState>(&mut group, "adaptive", k, &x, &y);
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_backends,
     bench_record_densify,
-    bench_a3_round
+    bench_a3_round,
+    bench_a3_diffusion
 );
 criterion_main!(benches);

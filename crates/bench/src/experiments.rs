@@ -401,8 +401,9 @@ pub fn e6_classical_rows(
     }
 }
 
-/// Prints an E6 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// Prints an E6 table (any source: in-process sweep or the
+/// fabric's outcome ledger behind `sweep --processes` — identical rows
+/// print identical bytes).
 pub fn print_e6_rows(rows: &[E6Row]) {
     println!("E6 (Proposition 3.7) — classical Θ(n^(1/3)) decider");
     println!(
@@ -461,8 +462,9 @@ pub fn f1_seeds(k_max: u32) -> Vec<u64> {
     (1..=k_max).map(|_| rng.gen()).collect()
 }
 
-/// Prints an F1 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// Prints an F1 table (any source: in-process sweep or the
+/// fabric's outcome ledger behind `sweep --processes` — identical rows
+/// print identical bytes).
 pub fn print_f1_rows(rows: &[SeparationRow]) {
     println!("F1 — the separation: space to recognize L_DISJ online, vs input length");
     println!(
@@ -613,8 +615,9 @@ pub fn f3_fingerprint_rows(
     }
 }
 
-/// Prints an F3 table (any source: in-process sweep or merged
-/// cross-process shards — identical rows print identical bytes).
+/// Prints an F3 table (any source: in-process sweep or the
+/// fabric's outcome ledger behind `sweep --processes` — identical rows
+/// print identical bytes).
 pub fn print_f3_rows(rows: &[F3Row]) {
     println!("F3 — A2 fingerprint false-accept rate on corrupted words (one-sided soundness)");
     println!("{:>3} {:>12} {:>16}", "k", "empirical", "2·(m−1)/2^4k");
@@ -661,7 +664,7 @@ pub const F4_DEFAULT_TRIALS: usize = 400;
 
 /// The sketch budgets F4 sweeps at `k`: the powers of two up to the
 /// string length `m`. One decider fleet per budget — shared by the
-/// in-process sweep and the cross-process shard derivation.
+/// in-process sweep and the fabric's fleet list (`sweep --processes`).
 pub fn f4_budgets(k: u32) -> Vec<usize> {
     let m = string_len(k);
     [1usize, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -705,7 +708,7 @@ pub fn f4_sketch_rows(
 }
 
 /// Prints an F4 table at parameter `k` (any source: in-process sweep or
-/// merged cross-process shards).
+/// the fabric's outcome ledger behind `sweep --processes`).
 pub fn print_f4_rows(k: u32, rows: &[F4Row]) {
     println!(
         "F4 — classical sketches below √m fail (k = {k}, m = {}, planted t = 1)",

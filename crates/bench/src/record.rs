@@ -3,11 +3,12 @@
 //! `experiments bench PATH` runs a fixed suite of benchmarks and
 //! writes one JSON document. Three families:
 //!
-//! * **kernel / end-to-end cells** — dense-kernel micro-benchmarks plus two
-//!   end-to-end workloads (a batched complement sweep and an A3 densifying
-//!   stream), each measured twice: once with the SIMD dispatch forced to
-//!   scalar, once with auto-detection, with the derived scalar/SIMD
-//!   speedups;
+//! * **kernel / end-to-end cells** — dense-kernel micro-benchmarks (among
+//!   them A3's diffusion in closed form, `a3_diffusion`, beside the gate
+//!   sweeps it replaced, `a3_diffusion_sweeps`) plus two end-to-end
+//!   workloads (a batched complement sweep and an A3 densifying stream),
+//!   each measured twice: once with the SIMD dispatch forced to scalar,
+//!   once with auto-detection, with the derived scalar/SIMD speedups;
 //! * **store cells** — `store_open`, `store_recover` and
 //!   `checkpoint_roundtrip` timed against a log of dense A3 checkpoints,
 //!   once with payload compression off and once on
@@ -88,7 +89,9 @@ use oqsc_lang::{random_member, random_nonmember, Sym};
 use oqsc_machine::{
     BatchRunner, CheckpointStore, Checkpointable, Session, SessionCheckpoint, StreamingDecider,
 };
-use oqsc_quantum::{simd, AdaptiveState, Complex, QuantumBackend, SimdLevel, StateVector};
+use oqsc_quantum::{
+    simd, AdaptiveState, Complex, GroverLayout, QuantumBackend, SimdLevel, StateVector,
+};
 use oqsc_serve::{
     feeds_line, run_fleet, DeciderKind, LineClient, MuxConfig, MuxEngine, MuxStats, Router,
     RouterConfig, Server, ServerConfig,
@@ -230,6 +233,37 @@ pub fn reflect_axpy(n: usize, iters: u32) -> u64 {
     ns
 }
 
+/// A3's diffusion as the streamer runs it: one closed-form inversion
+/// about the mean per iteration ([`GroverLayout::apply_diffusion`]) over
+/// the dense `qubits = 2k + 2` register, starting from `|φ_k⟩`.
+pub fn a3_diffusion(qubits: usize, iters: u32) -> u64 {
+    let layout = GroverLayout::for_k(k_for(qubits));
+    let mut s = layout.phi();
+    let t = Instant::now();
+    for _ in 0..iters {
+        layout.apply_diffusion(&mut s);
+    }
+    let ns = elapsed_ns(t);
+    std::hint::black_box(s.amp(0));
+    ns
+}
+
+/// The gate sweeps `U_k S_k U_k` that [`a3_diffusion`] replaced, on the
+/// same register: the baseline of its speedup.
+pub fn a3_diffusion_sweeps(qubits: usize, iters: u32) -> u64 {
+    let layout = GroverLayout::for_k(k_for(qubits));
+    let mut s = layout.phi();
+    let t = Instant::now();
+    for _ in 0..iters {
+        layout.apply_uk(&mut s);
+        layout.apply_sk(&mut s);
+        layout.apply_uk(&mut s);
+    }
+    let ns = elapsed_ns(t);
+    std::hint::black_box(s.amp(0));
+    ns
+}
+
 /// The chunked reduction family: norm, one marginal, and one masked
 /// probability per iteration — everything measurement-side code touches.
 pub fn reductions_dense(n: usize, iters: u32) -> u64 {
@@ -339,12 +373,19 @@ type Suite = [(
     fn(usize, u32) -> u64,
     &'static [usize],
     &'static [usize],
-); 5];
+); 7];
 
 const SUITE: Suite = [
     ("gate_sweep_dense", gate_sweep_dense, &[14, 16, 18], &[10]),
     ("reflect_axpy", reflect_axpy, &[16], &[10]),
     ("reductions_dense", reductions_dense, &[16], &[10]),
+    ("a3_diffusion", a3_diffusion, &[10, 14, 18], &[6]),
+    (
+        "a3_diffusion_sweeps",
+        a3_diffusion_sweeps,
+        &[10, 14, 18],
+        &[6],
+    ),
     ("throughput_sweep", throughput_sweep, &[8], &[6]),
     ("adaptive_densify", adaptive_densify, &[10], &[6]),
 ];

@@ -95,9 +95,7 @@ pub fn bcw_single_run<R: Rng + ?Sized>(x: &[bool], y: &[bool], rng: &mut R) -> B
         transcript.send_quantum(Party::Bob, params.qubits_per_message);
         // Alice: V_x and the diffusion U_k S_k U_k.
         layout.apply_vx(&mut state, x);
-        layout.apply_uk(&mut state);
-        layout.apply_sk(&mut state);
-        layout.apply_uk(&mut state);
+        layout.apply_diffusion(&mut state);
     }
     // Final marking round: Alice V_x, send; Bob R_y and measure `l`.
     layout.apply_vx(&mut state, x);

@@ -6,14 +6,17 @@
 //! the data needed for one Grover iteration
 //! (`V_x`, `W_y`, `V_z`, then the diffusion `U_k S_k U_k`), and the
 //! randomly chosen round `j+1` is used for the final marking
-//! (`R_y V_x`) after which the `l` qubit is measured.
+//! (`R_y V_x`) after which the `l` qubit is measured. The diffusion runs
+//! in closed form, as one inversion about the mean over each `(h, l)`
+//! quarter ([`GroverLayout::apply_diffusion`]); the explicit-gate circuit
+//! ([`crate::emit`]) keeps the `U_k S_k U_k` gates.
 //!
 //! The register is `|i⟩|h⟩|l⟩`: `2k + 2` qubits, plus `O(k)` classical
 //! bits of counters — the paper's logarithmic space bound. Each streamed
 //! bit triggers a structured update of at most four amplitudes
 //! ([`oqsc_quantum::structured`]'s bit-mode operators: an index on the
-//! dense backends, a block lookup on the sparse ones, whose whole round
-//! measures 1.0–1.5× the dense time at `k = 4, 6, 8`), so the whole
+//! dense backends, a block lookup on the sparse ones, whose lookups put a
+//! whole round at 2.5–8.2× the dense time at `k = 4, 6, 8`), so the whole
 //! simulation is linear in the input length.
 //!
 //! Output convention (paper): measure `b` from the last qubit and output
@@ -294,11 +297,10 @@ impl<B: QuantumBackend> GroverStreamer<B> {
             }
             Slot::Z => {
                 if self.round <= self.j {
-                    // End of a full iteration round: diffusion U_k S_k U_k.
+                    // End of a full iteration round: the diffusion
+                    // U_k S_k U_k, as one inversion about the mean.
                     if let (Some(layout), Some(state)) = (self.layout, self.reg.state_mut()) {
-                        layout.apply_uk(state);
-                        layout.apply_sk(state);
-                        layout.apply_uk(state);
+                        layout.apply_diffusion(state);
                     }
                     self.reg.record();
                 }

@@ -65,11 +65,9 @@ impl GroverSim {
     pub fn iterate<B: QuantumBackend>(&self, s: &mut B) {
         // Oracle: negate marked amplitudes.
         s.phase_if(|b| self.marked[b], -ONE);
-        // Diffusion: H^{⊗w} · (phase flip on ≠0) · H^{⊗w}.
-        let qs: Vec<usize> = (0..self.width).collect();
-        s.apply_hadamard_all(&qs);
-        s.phase_if(|b| b != 0, -ONE);
-        s.apply_hadamard_all(&qs);
+        // Diffusion H^{⊗w} · (phase flip on ≠0) · H^{⊗w}: the whole
+        // register is one run.
+        s.invert_about_mean(self.width);
     }
 
     /// Exact probability that measuring after `iterations` yields a marked

@@ -285,6 +285,14 @@ impl QuantumBackend for AdaptiveState {
         self.settle();
     }
 
+    fn invert_about_mean(&mut self, width: usize) {
+        match &mut self.repr {
+            Repr::Sparse(s) => s.invert_about_mean(width),
+            Repr::Dense(d) => d.invert_about_mean(width),
+        }
+        self.settle();
+    }
+
     fn reflect_about(&mut self, psi: &Self) {
         match (&mut self.repr, &psi.repr) {
             (Repr::Sparse(s), Repr::Sparse(p)) => s.reflect_about(p),

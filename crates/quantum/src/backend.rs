@@ -20,9 +20,11 @@
 //! Hadamard sweeps), the structured diagonal/permutation fast paths
 //! (`phase_if`, `permute_in_place`, `store_amplitudes`) that let each
 //! streamed symbol touch only the amplitudes it changes (an index on the
-//! dense backends, a block lookup on the sparse one, whose whole A3
-//! round measures 1.0–1.5× the dense time at `k = 4, 6, 8`; DESIGN.md
-//! §2), reflections for amplitude amplification, and measurement
+//! dense backends, a block lookup on the sparse one, whose lookups put a
+//! whole A3 round at 2.5–8.2× the dense time at `k = 4, 6, 8`; DESIGN.md
+//! §2), reflections for amplitude amplification, Grover's inversion about
+//! the mean (`invert_about_mean`: A3's diffusion `U_k S_k U_k` as one
+//! pass, summed in one order on every backend), and measurement
 //! (probabilities, sampling, collapse). Closure-typed methods keep the
 //! trait object-unsafe on purpose: backends are chosen statically
 //! (monomorphized), which is what lets the gate kernels inline and
@@ -159,13 +161,26 @@ pub trait QuantumBackend: Clone + std::fmt::Debug {
     /// streamed structured updates, which write at most four amplitudes
     /// per bit. An index per write on the dense backends; the sparse
     /// backend looks up the write's block and writes into it, a few
-    /// nanoseconds per write (an A3 round measures 1.0–1.5× the dense
+    /// nanoseconds per write (most of a sparse A3 round, 2.5–8.2× the dense
     /// time at `k = 4, 6, 8`; DESIGN.md §2). Callers are responsible for
     /// keeping the state normalized.
     fn store_amplitudes(&mut self, writes: &[(usize, Complex)]);
 
     /// Householder reflection about `psi`: `|s⟩ ← (2|ψ⟩⟨ψ| − I)|s⟩`.
     fn reflect_about(&mut self, psi: &Self);
+
+    /// Inversion about the mean on every contiguous run of `2^width`
+    /// amplitudes: `a ← 2·mean(run) − a`. This is
+    /// `H^{⊗w} · S · H^{⊗w}` on the low `width` qubits, with `S` the
+    /// phase −1 on every low-`width` value `≠ 0` — Grover's diffusion,
+    /// and procedure A3's `U_k S_k U_k` at `width = 2k` — in one pass
+    /// instead of `4·width + 1`.
+    ///
+    /// Every backend sums a run in the one order [`crate::par::run_sum`]
+    /// defines, so the dense, parallel and adaptive backends agree bit
+    /// for bit. The result equals the gate sweeps to rounding, not to
+    /// the bit.
+    fn invert_about_mean(&mut self, width: usize);
 
     /// Adds `coeff · |other⟩` into this state (non-unitary accumulation
     /// step of the fixed-point recursion; callers renormalize).
@@ -404,6 +419,10 @@ impl QuantumBackend for StateVector {
 
     fn reflect_about(&mut self, psi: &Self) {
         StateVector::reflect_about(self, psi)
+    }
+
+    fn invert_about_mean(&mut self, width: usize) {
+        StateVector::invert_about_mean(self, width)
     }
 
     fn add_scaled(&mut self, other: &Self, coeff: Complex) {

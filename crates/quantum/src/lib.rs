@@ -20,8 +20,9 @@
 //!   gate application and `O(1)`-time streaming structured updates;
 //! * [`sparse`] — the support-proportional simulator for the structured
 //!   states of procedure A3 (the occupied 64-amplitude blocks, run by the
-//!   dense SIMD kernels; a streamed point write is a block lookup, and an
-//!   A3 round measures 1.0–1.5× the dense time at `k = 4, 6, 8`);
+//!   dense SIMD kernels; a streamed point write is a block lookup, and
+//!   those lookups put an A3 round at 2.5–8.2× the dense time at
+//!   `k = 4, 6, 8`, DESIGN.md §2);
 //! * [`par`] — **the** scoped-thread work-splitting module (every spawn in
 //!   the substrate lives here) plus the chunked floating-point summation
 //!   contract all backends' reductions follow;

@@ -18,7 +18,11 @@
 //!   [`chunked_inner`], [`chunked_prob_where`], their `par_*`
 //!   counterparts, and the sparse-iteration form [`chunked_sum_sparse`])
 //!   — floating-point sums accumulated per [`REDUCE_CHUNK`]-sized block
-//!   and folded in block order.
+//!   and folded in block order;
+//! * inversion about the mean ([`invert_about_mean`], built from
+//!   [`run_sum`], [`twice_mean`] and [`reflect_through`]) — the one
+//!   summation order of every backend's closed-form diffusion,
+//!   `a ← 2·mean(run) − a`.
 //!
 //! The chunked reductions define the workspace's **summation contract**:
 //! every backend sums per-block partials in increasing block order, so
@@ -337,6 +341,75 @@ pub fn chunked_inner(a: &[Complex], b: &[Complex]) -> Complex {
         total += simd::block_inner(ca, cb);
     }
     total
+}
+
+/// The canonical sum of one contiguous run of amplitudes, given as
+/// `(offset, piece)` pairs in increasing run-offset order, each piece
+/// starting at an even offset and lying inside one [`REDUCE_CHUNK`]
+/// block of the run. The element at offset `o` adds into complex lane
+/// `o & 1`; the lanes fold `l0 + l1` per block, and the blocks fold in
+/// order — the stratification [`simd::block_inner`] uses. Every
+/// backend's inversion about the mean sums through here. An offset no
+/// piece covers counts as exactly `+0.0`, which leaves a lane's bits
+/// unchanged (a lane that starts at `+0.0` never becomes `−0.0`), so a
+/// sparse caller that passes only its stored blocks gets the dense
+/// digits.
+pub fn run_sum<'a>(pieces: impl IntoIterator<Item = (usize, &'a [Complex])>) -> Complex {
+    let mut total = ZERO;
+    let mut lanes = [ZERO; REDUCE_COMPLEX_LANES];
+    let mut block = 0;
+    for (offset, piece) in pieces {
+        debug_assert!(offset.is_multiple_of(2));
+        if offset / REDUCE_CHUNK != block {
+            total += lanes[0] + lanes[1];
+            lanes = [ZERO; REDUCE_COMPLEX_LANES];
+            block = offset / REDUCE_CHUNK;
+        }
+        // Pairs, so the compiler vectorizes the two lanes without
+        // reassociating either.
+        let pairs = piece.chunks_exact(2);
+        let rest = pairs.remainder();
+        for pair in pairs {
+            lanes[0] += pair[0];
+            lanes[1] += pair[1];
+        }
+        if let [a] = rest {
+            lanes[0] += *a;
+        }
+    }
+    total + (lanes[0] + lanes[1])
+}
+
+/// `2 · mean` of a run of `len` amplitudes (a power of two) whose
+/// canonical sum is `sum`: an exact power-of-two scale.
+pub fn twice_mean(sum: Complex, len: usize) -> Complex {
+    debug_assert!(len.is_power_of_two());
+    sum.scale(2.0 / len as f64)
+}
+
+/// `a ← m2 − a` over `data`: the update of inversion about the mean.
+pub fn reflect_through(m2: Complex, data: &mut [Complex]) {
+    let mut pairs = data.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        pair[0] = m2 - pair[0];
+        pair[1] = m2 - pair[1];
+    }
+    for a in pairs.into_remainder() {
+        *a = m2 - *a;
+    }
+}
+
+/// Inversion about the mean over every contiguous run of `2^width`
+/// amplitudes of `amps`: one [`run_sum`] pass per run, then
+/// [`reflect_through`]. `amps.len()` must be a multiple of `2^width`.
+pub fn invert_about_mean(amps: &mut [Complex], width: usize) {
+    let len = 1usize << width;
+    debug_assert!(amps.len().is_multiple_of(len));
+    for run in amps.chunks_exact_mut(len) {
+        let pieces = run.chunks(REDUCE_CHUNK).enumerate();
+        let sum = run_sum(pieces.map(|(i, piece)| (i * REDUCE_CHUNK, piece)));
+        reflect_through(twice_mean(sum, len), run);
+    }
 }
 
 /// Parallel [`chunked_inner`]; bit-for-bit equal to the serial form.

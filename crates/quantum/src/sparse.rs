@@ -28,7 +28,11 @@
 //! no nonzero amplitude is dropped. Dense Hadamard sweeps (`U_k`) still
 //! touch every occupied block per qubit and can double the support, as
 //! they must — sparsity is a property of the states the workload
-//! reaches, not a universal speed-up.
+//! reaches, not a universal speed-up. Inversion about the mean (A3's
+//! diffusion in closed form) sums each run's stored blocks in index
+//! order, gives a run whose mean survives the pruning rule its missing
+//! blocks, as the sweeps would fill them, and leaves a run whose mean is
+//! zero on its stored blocks.
 //!
 //! Point reads and writes ([`QuantumBackend::store_amplitudes`], which the
 //! streamed `V_x`/`W_x`/`R_x` fragments use) find their block by index
@@ -42,6 +46,7 @@ use crate::backend::QuantumBackend;
 use crate::complex::{Complex, ONE, ZERO};
 use crate::gate::Gate;
 use crate::matrix::Matrix;
+use crate::par;
 use crate::simd;
 use crate::snapshot::{SnapshotError, StateSnapshot};
 use crate::state::StateVector;
@@ -667,6 +672,58 @@ impl QuantumBackend for SparseState {
         }
     }
 
+    fn invert_about_mean(&mut self, width: usize) {
+        assert!(
+            width <= self.n,
+            "run width {width} out of range for {} qubits",
+            self.n
+        );
+        let (bits, len) = (self.block_bits(), self.block_len());
+        if width <= bits {
+            // Every run lies inside one block, and a missing block's runs
+            // sum to zero and stay zero: the dense op over the payload.
+            par::invert_about_mean(&mut self.amps, width);
+            self.prune();
+            return;
+        }
+        // A run is `2^shift` consecutive blocks, so its stored blocks are
+        // consecutive in `keys`; summing only those gives the dense sum.
+        let shift = width - bits;
+        let run_of = |key: usize| key >> shift;
+        let mut runs = Vec::new();
+        let mut missing = Vec::new();
+        let mut p = 0;
+        while p < self.keys.len() {
+            let run = run_of(self.keys[p]);
+            let end = p + self.keys[p..].partition_point(|&k| run_of(k) == run);
+            let offsets = self.keys[p..end]
+                .iter()
+                .map(|&k| (k - (run << shift)) * len);
+            let blocks = self.amps[p * len..end * len].chunks_exact(len);
+            let m2 = par::twice_mean(par::run_sum(offsets.zip(blocks)), 1usize << width);
+            // A mean the pruning rule would drop fills nothing.
+            let mut count = end - p;
+            if m2.norm_sqr() > self.prune_eps {
+                let mut stored = self.keys[p..end].iter().peekable();
+                for key in run << shift..(run + 1) << shift {
+                    if stored.next_if_eq(&&key).is_none() {
+                        missing.push(key);
+                    }
+                }
+                count = 1 << shift;
+            }
+            runs.push((count, m2));
+            p = end;
+        }
+        self.insert_zero_blocks(&missing);
+        let mut p = 0;
+        for (count, m2) in runs {
+            par::reflect_through(m2, &mut self.amps[p * len..(p + count) * len]);
+            p += count;
+        }
+        self.prune();
+    }
+
     fn reflect_about(&mut self, psi: &Self) {
         assert_eq!(self.n, psi.n, "qubit count mismatch");
         let overlap = psi.inner(self);
@@ -1254,9 +1311,7 @@ mod tests {
                     record(&s);
                 }
             }
-            layout.apply_uk(&mut s);
-            layout.apply_sk(&mut s);
-            layout.apply_uk(&mut s);
+            layout.apply_diffusion(&mut s);
             record(&s);
         }
         for (bits, op) in [

@@ -310,6 +310,19 @@ impl StateVector {
         crate::simd::reflect_about(&mut self.amps, &psi.amps, overlap);
     }
 
+    /// Inversion about the mean on every contiguous run of `2^width`
+    /// amplitudes, `a ← 2·mean(run) − a` (Grover's diffusion on the low
+    /// `width` qubits): one summing pass and one update pass per run, in
+    /// the order [`crate::par::invert_about_mean`] defines.
+    pub fn invert_about_mean(&mut self, width: usize) {
+        assert!(
+            width <= self.n,
+            "run width {width} out of range for {} qubits",
+            self.n
+        );
+        crate::par::invert_about_mean(&mut self.amps, width);
+    }
+
     /// Applies an arbitrary unitary matrix over the **whole** register
     /// (testing/verification only; `O(4^n)`).
     pub fn apply_unitary(&mut self, u: &Matrix) {

@@ -12,7 +12,13 @@
 //! `V_x W_y V_x` multiplies the amplitude of `|i⟩|0⟩|0⟩` by
 //! `(−1)^{x_i ∧ y_i}`, i.e. it is one Grover phase oracle for the
 //! intersection predicate, and `U_k S_k U_k` is the diffusion operator —
-//! exactly one Grover iteration per block of streamed input.
+//! exactly one Grover iteration per block of streamed input. Since `S_k =
+//! 2|0⟩⟨0| − I` on the index register, the diffusion is `2|φ⟩⟨φ| − I`,
+//! Grover's inversion about the mean over each `(h, l)` quarter;
+//! [`GroverLayout::apply_diffusion`] runs it as one backend op
+//! ([`QuantumBackend::invert_about_mean`]), one pass where the sweeps
+//! `U_k`, `S_k`, `U_k` take `4k + 1`. The sweeps stay as the reference
+//! the tests compare against.
 //!
 //! Two application modes are provided:
 //!
@@ -20,9 +26,10 @@
 //! * **bit mode** — one input bit `x_i` at a time, touching only the four
 //!   amplitudes whose index part equals `i`: an index per amplitude on
 //!   the dense backends, a block lookup on the sparse one (see
-//!   [`crate::sparse`]; a whole A3 round measures 1.0–1.5× the dense time
-//!   at `k = 4, 6, 8`, DESIGN.md §2). This is what makes the online
-//!   simulation of procedure A3 run in time linear in the input length.
+//!   [`crate::sparse`]; its lookups put a whole A3 round at 2.5–8.2× the
+//!   dense time at `k = 4, 6, 8`, DESIGN.md §2). This is what makes the
+//!   online simulation of procedure A3 run in time linear in the input
+//!   length.
 
 use crate::backend::QuantumBackend;
 use crate::complex::ONE;
@@ -142,8 +149,20 @@ impl GroverLayout {
         });
     }
 
+    /// Applies the diffusion `U_k S_k U_k` in closed form: with `S_k =
+    /// 2|0⟩⟨0| − I` on the index register it is `2|φ⟩⟨φ| − I`, which maps
+    /// every amplitude to `2·mean − a` over its `(h, l)` quarter. The
+    /// index sits in the low qubits, so each quarter is one contiguous
+    /// run: one [`QuantumBackend::invert_about_mean`] call. Equal to
+    /// [`Self::apply_uk`], [`Self::apply_sk`], [`Self::apply_uk`] to
+    /// rounding.
+    pub fn apply_diffusion<B: QuantumBackend>(&self, s: &mut B) {
+        s.invert_about_mean(self.idx_width);
+    }
+
     /// One full Grover iteration `U_k S_k U_k V_z W_y V_x` (applied right to
-    /// left, i.e. `V_x` first), as in step 3 of procedure A3.
+    /// left, i.e. `V_x` first), as in step 3 of procedure A3, with the
+    /// diffusion in closed form ([`Self::apply_diffusion`]).
     pub fn apply_grover_iteration<B: QuantumBackend>(
         &self,
         s: &mut B,
@@ -154,9 +173,7 @@ impl GroverLayout {
         self.apply_vx(s, x);
         self.apply_wx(s, y);
         self.apply_vx(s, z);
-        self.apply_uk(s);
-        self.apply_sk(s);
-        self.apply_uk(s);
+        self.apply_diffusion(s);
     }
 
     // ------------------------------------------------------------------
@@ -307,17 +324,22 @@ mod tests {
     fn diffusion_preserves_phi() {
         // U_k S_k U_k fixes |φ⟩ up to global phase (it reflects about the
         // mean, and φ *is* the mean direction): D|φ⟩ = −|φ⟩ with our sign
-        // convention... verify it maps φ to ±φ.
+        // convention... verify it maps φ to ±φ, through the gate sweeps
+        // and through the closed form.
         let l = GroverLayout { idx_width: 3 };
-        let mut s = l.phi();
-        l.apply_uk(&mut s);
-        l.apply_sk(&mut s);
-        l.apply_uk(&mut s);
         let phi = l.phi();
-        assert!(
-            s.approx_eq_up_to_phase(&phi, EPS),
-            "diffusion should fix the uniform state up to phase"
-        );
+        let mut swept = l.phi();
+        l.apply_uk(&mut swept);
+        l.apply_sk(&mut swept);
+        l.apply_uk(&mut swept);
+        let mut closed = l.phi();
+        l.apply_diffusion(&mut closed);
+        for s in [swept, closed] {
+            assert!(
+                s.approx_eq_up_to_phase(&phi, EPS),
+                "diffusion should fix the uniform state up to phase"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! reference at every worker count (the DESIGN.md §6 determinism
 //! contract). The sparse runs also exercise the pruning-audit hook
 //! ([`SparseState::assert_support_pruned`]) after every operation: no
-//! cancelled amplitude may silently survive in the support.
+//! cancelled amplitude may silently survive in the support. The
+//! closed-form diffusion ([`QuantumBackend::invert_about_mean`]) is pinned
+//! against the gate sweeps it replaces on every backend and width.
 
 use oqsc_quantum::{
     simd, AdaptiveState, Complex, Gate, GroverLayout, ParallelStateVector, QuantumBackend,
@@ -37,6 +39,51 @@ fn random_gate(n: usize, rng: &mut StdRng) -> Gate {
         },
         8 => Gate::Cz(q, r),
         _ => Gate::Swap(q, r),
+    }
+}
+
+/// The gate sweeps `H^{⊗w} · (−1 on low-w ≠ 0) · H^{⊗w}` that
+/// [`QuantumBackend::invert_about_mean`] replaces, on the dense backend.
+fn swept_inversion(s: &StateVector, width: usize) -> StateVector {
+    let mut r = s.clone();
+    let qs: Vec<usize> = (0..width).collect();
+    let low = (1usize << width) - 1;
+    r.apply_hadamard_all(&qs);
+    r.phase_if(|b| b & low != 0, Complex::real(-1.0));
+    r.apply_hadamard_all(&qs);
+    r
+}
+
+/// Panics unless every amplitude of `got` is within 1e-12 of `want`'s.
+fn assert_near_sweeps<B: QuantumBackend>(got: &B, want: &StateVector, context: &str) {
+    for b in 0..want.dim() {
+        let (g, w) = (got.amp(b), want.amp(b));
+        assert!(
+            (g.re - w.re).abs() <= 1e-12 && (g.im - w.im).abs() <= 1e-12,
+            "{context}: amp {b} is {g:?}, the sweeps give {w:?}"
+        );
+    }
+}
+
+/// Panics unless `got` holds `want`'s digits (±0.0 identified: the
+/// sparse phase stores no zero, signed or not).
+fn assert_same_digits<B: QuantumBackend>(got: &B, want: &StateVector, context: &str) {
+    for b in 0..want.dim() {
+        let (g, w) = (got.amp(b), want.amp(b));
+        assert!(
+            g.re == w.re && g.im == w.im,
+            "{context}: amp {b} is {g:?}, dense gives {w:?}"
+        );
+    }
+}
+
+/// Panics unless `got`'s amplitudes have `want`'s exact bit patterns.
+fn assert_same_bits(got: &StateVector, want: &StateVector, context: &str) {
+    for (b, (g, w)) in got.amplitudes().iter().zip(want.amplitudes()).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{context}: amp {b} is {g:?}, dense gives {w:?}"
+        );
     }
 }
 
@@ -183,6 +230,44 @@ proptest! {
         prop_assert_eq!(dense.norm().to_bits(), ad.norm().to_bits());
     }
 
+    /// Inversion about the mean on random states, at every run width:
+    /// every backend matches the gate sweeps it replaces within 1e-12 per
+    /// amplitude, parallel (1, 2 and 8 workers) and adaptive match dense
+    /// bit for bit, and sparse keeps its pruning invariant.
+    #[test]
+    fn prop_invert_about_mean_matches_the_sweeps(seed in any::<u64>(), n in 2usize..=10, len in 1usize..60) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gates: Vec<Gate> = (0..len).map(|_| random_gate(n, &mut rng)).collect();
+        let mut dense = StateVector::zero(n);
+        let mut sparse = SparseState::zero(n);
+        let mut adaptive = AdaptiveState::zero(n);
+        for g in &gates {
+            dense.apply(g);
+            sparse.apply_gate(g);
+            adaptive.apply_gate(g);
+        }
+        for width in 0..=n {
+            let context = format!("seed {seed} n {n} width {width}");
+            let want = swept_inversion(&dense, width);
+            let mut d = dense.clone();
+            d.invert_about_mean(width);
+            assert_near_sweeps(&d, &want, &context);
+            for threads in [1usize, 2, 8] {
+                let mut p = ParallelStateVector::with_threads(dense.clone(), threads);
+                p.invert_about_mean(width);
+                assert_same_bits(p.as_dense(), &d, &format!("{context} threads {threads}"));
+            }
+            let mut sp = sparse.clone();
+            sp.invert_about_mean(width);
+            sp.assert_support_pruned();
+            assert_near_sweeps(&sp, &want, &context);
+            assert_equivalent(&sp, &d, &context);
+            let mut ad = adaptive.clone();
+            ad.invert_about_mean(width);
+            assert_same_digits(&ad, &d, &context);
+        }
+    }
+
     /// Snapshot → bytes → restore is a bit-exact round trip on every
     /// backend, from any reachable state.
     #[test]
@@ -291,6 +376,59 @@ fn threaded_kernels_bitwise_above_threshold() {
         );
         assert_eq!(pd.to_bits(), pp.to_bits(), "threads={threads}");
     }
+}
+
+/// Runs several `REDUCE_CHUNK` blocks long over a sparse state with gaps
+/// in its block set: 15 qubits at width 14 are two runs of 16 384
+/// amplitudes, four reduction blocks each. Run 0 holds five amplitudes
+/// in three reduction blocks and a nonzero mean, so every block of it
+/// fills; its values round differently if the lanes are not folded per
+/// reduction block, so only the one summation order gives the dense
+/// digits. Run 1 holds two amplitudes that cancel exactly, so its blocks
+/// stay absent. The state comes from a snapshot, unnormalized, so the
+/// amplitudes are exactly the ones written here.
+#[test]
+fn invert_about_mean_fills_only_runs_with_a_mean() {
+    let (n, width) = (15, 14);
+    let run = 1usize << width;
+    let snap = StateSnapshot::encode_sparse(
+        n,
+        [
+            (4, Complex::new(1.0, 0.25)),
+            (5, Complex::new(1.5e-15, -0.125)),
+            (2 * 4096 + 8, Complex::new(-1.0, 0.5)),
+            (2 * 4096 + 9, Complex::new(1.5e-15, 0.0)),
+            (3 * 4096 + 1000, Complex::new(0.25, -0.375)),
+            (run + 3, Complex::new(0.5, -0.5)),
+            (run + 3 * 4096 + 10, Complex::new(-0.5, 0.5)),
+        ],
+    );
+    let dense = StateVector::restore(&snap).expect("dense restore");
+    let want = swept_inversion(&dense, width);
+    let mut d = dense.clone();
+    d.invert_about_mean(width);
+    assert_near_sweeps(&d, &want, "dense");
+    assert!(d.amp(run + 100).norm_sqr() == 0.0, "run 1 gained a mean");
+    assert!(d.amp(100).norm_sqr() > 0.0, "run 0 did not fill");
+
+    for threads in [2usize, 8] {
+        let mut p = ParallelStateVector::with_threads(dense.clone(), threads);
+        p.invert_about_mean(width);
+        assert_same_bits(p.as_dense(), &d, &format!("threads {threads}"));
+    }
+
+    let mut sparse = SparseState::restore(&snap).expect("sparse restore");
+    assert_eq!(sparse.support(), 7);
+    sparse.invert_about_mean(width);
+    sparse.assert_support_pruned();
+    assert_eq!(sparse.support(), run + 2, "run 0 fills, run 1 stays two");
+    assert_same_digits(&sparse, &d, "sparse");
+
+    let mut adaptive = AdaptiveState::restore(&snap).expect("adaptive restore");
+    assert!(!adaptive.is_dense_phase());
+    adaptive.invert_about_mean(width);
+    assert!(adaptive.is_dense_phase(), "half the register is filled");
+    assert_same_digits(&adaptive, &d, "adaptive");
 }
 
 /// Cross-backend restore: a sparse snapshot restores into every backend
@@ -443,7 +581,8 @@ fn bit_trace<B: QuantumBackend>(state: &B, reference: &B) -> BitTrace {
 }
 
 /// Run the shared mixed workload (random circuit + Hadamard sweep +
-/// reflection + a collapse) on one backend and fingerprint the result.
+/// reflection + inversion about the mean + a collapse) on one backend and
+/// fingerprint the result.
 fn forced_workload<B: QuantumBackend>(
     n: usize,
     gates: &[Gate],
@@ -458,6 +597,8 @@ fn forced_workload<B: QuantumBackend>(
     let mirror = B::uniform(n);
     s.reflect_about(&mirror);
     s.add_scaled(&mirror, Complex::new(0.125, -0.25));
+    s.invert_about_mean(n - 1);
+    s.invert_about_mean(3);
     s.collapse_qubit(0, 0);
     bit_trace(&s, &mirror)
 }

@@ -189,7 +189,8 @@ pub fn fleet_outcome_line(fleet: &str, index: u64, out: &RunOutcome) -> String {
 }
 
 /// Parses a [`fleet_outcome_line`]. Errors carry the offending line so
-/// both the process pool and the fabric can surface it verbatim.
+/// the fabric coordinator (behind `sweep --processes` and `fabric
+/// coordinate`) can surface it verbatim.
 pub fn parse_fleet_outcome_line(line: &str) -> Result<(String, u64, RunOutcome), String> {
     let mut parts = line.split_whitespace();
     if parts.next() != Some("OUTCOME") {

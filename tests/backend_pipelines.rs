@@ -386,9 +386,10 @@ fn quantum_kinds_reproduce_golden_outcomes() {
                 random_nonmember(3, 1 + seed as usize % 3, &mut rng).encode(),
             ));
         }
-        // `deep`'s two k = 4 shapes: a member, whose diffusion collapses
-        // the support to one entry, and a non-member, which keeps the
-        // full 256-entry support through every round.
+        // `deep`'s two k = 4 shapes: a member, whose every diffusion maps
+        // |φ_k⟩ back to itself, and a non-member, whose rounds amplify
+        // the intersection; both keep the full 256-entry support through
+        // every round.
         let mut rng = StdRng::seed_from_u64(4);
         words.push((4, random_member(4, &mut rng).encode()));
         words.push((4, random_nonmember(4, 1, &mut rng).encode()));
