@@ -8,7 +8,8 @@
 //!   sweeps it replaced, `a3_diffusion_sweeps`) plus two end-to-end
 //!   workloads (a batched complement sweep and an A3 densifying stream),
 //!   each measured twice: once with the SIMD dispatch forced to scalar,
-//!   once with auto-detection, with the derived scalar/SIMD speedups;
+//!   once with auto-detection, with the derived scalar/SIMD speedups of
+//!   the cells that have a SIMD path (`a3_diffusion` has none);
 //! * **store cells** — `store_open`, `store_recover` and
 //!   `checkpoint_roundtrip` timed against a log of dense A3 checkpoints,
 //!   once with payload compression off and once on
@@ -883,12 +884,20 @@ pub fn run_record(opts: RecordOpts) -> String {
     render_json(&results, &stores, &mux, &batched, &routed)
 }
 
+/// Suite cells with no SIMD-dispatched kernel: both modes run the same
+/// code, so their scalar/SIMD ratio would record run order and noise.
+const NO_SIMD_PATH: &[&str] = &["a3_diffusion"];
+
 /// Scalar-median / simd-median for every `(bench, qubits)` pair that has
-/// both modes measured (the store cells have no scalar/simd axis and so
-/// produce no derived rows).
+/// both modes measured and a SIMD path (the store cells have no
+/// scalar/simd axis and so produce no derived rows, nor do the
+/// [`NO_SIMD_PATH`] cells).
 fn derived_speedups(results: &[ResultRow]) -> Vec<(&'static str, usize, f64)> {
     let mut out = Vec::new();
-    for r in results.iter().filter(|r| r.mode == "scalar") {
+    for r in results
+        .iter()
+        .filter(|r| r.mode == "scalar" && !NO_SIMD_PATH.contains(&r.bench))
+    {
         if let Some(s) = results
             .iter()
             .find(|s| s.mode == "simd" && s.bench == r.bench && s.qubits == r.qubits)
@@ -1087,6 +1096,31 @@ mod tests {
         }
         // Dispatch must be restored after the run.
         assert_eq!(simd::active(), simd::detected());
+    }
+
+    #[test]
+    fn only_cells_with_a_simd_path_get_a_speedup_row() {
+        let row = |bench, mode| ResultRow {
+            bench,
+            qubits: 10,
+            mode,
+            timing: Timing {
+                median_ns: 100,
+                min_ns: 100,
+                max_ns: 100,
+                samples: 1,
+                iters: 1,
+            },
+        };
+        let results = [
+            row("gate_sweep_dense", "scalar"),
+            row("a3_diffusion", "scalar"),
+            row("gate_sweep_dense", "simd"),
+            row("a3_diffusion", "simd"),
+        ];
+        let derived = derived_speedups(&results);
+        assert_eq!(derived.len(), 1, "{derived:?}");
+        assert_eq!((derived[0].0, derived[0].1), ("gate_sweep_dense", 10));
     }
 
     /// The mux cells must actually enforce the live budget: the resident

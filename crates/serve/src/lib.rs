@@ -46,7 +46,8 @@ pub use mux::{run_fleet, MuxConfig, MuxEngine, MuxError, MuxStats};
 pub use protocol::{
     fabric_request_line, fabric_response_line, feeds_line, fleet_outcome_line, outcome_line,
     parse_fabric_request, parse_fabric_response, parse_fleet_outcome_line, parse_outcome_line,
-    parse_request, parse_stats_line, stats_line, FabricRequest, FabricResponse, Request,
+    parse_request, parse_stats_line, stats_line, FabricRequest, FabricResponse, FeedsBatch,
+    Request,
 };
 pub use route::{route_index, Router, RouterConfig};
 pub use server::{Server, ServerConfig};

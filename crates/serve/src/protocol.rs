@@ -1,6 +1,6 @@
 //! The line-oriented serving protocol.
 //!
-//! Same style as the worker pool's `OUTCOME` protocol: one request per
+//! Same style as the sweep fabric's `OUTCOME` protocol: one request per
 //! line, space-separated integer-exact fields, one response line per
 //! request. Words travel in the repo's `0`/`1`/`#` surface syntax.
 //!
@@ -19,7 +19,11 @@
 //! session in one request, one budget-enforcement pass, and one response
 //! line — the per-token round trip is the serving hot path's dominant
 //! cost, so batch when you can. The declared count must match the chunks
-//! actually present; a hostile `<n>` never preallocates.
+//! actually present; a hostile `<n>` never preallocates. The chunks are
+//! parsed in one pass over the line's bytes straight into one token
+//! buffer ([`FeedsBatch`]), which the server feeds as it is. Chunks
+//! split wherever [`str::split_whitespace`] splits, non-ASCII
+//! whitespace included.
 //!
 //! The protocol is transport-agnostic: the same lines flow over a Unix
 //! socket or TCP (see [`crate::transport`]).
@@ -56,8 +60,8 @@ pub enum Request {
     Feeds {
         /// Session id.
         id: u64,
-        /// The batched word chunks, in stream order.
-        words: Vec<Vec<Sym>>,
+        /// The batched word chunks, joined in stream order.
+        words: FeedsBatch,
     },
     /// `FINISH <id>`
     Finish {
@@ -70,15 +74,126 @@ pub enum Request {
     Shutdown,
 }
 
+/// The tokens of a `FEEDS` batch: its chunks joined, in stream order, in
+/// one buffer. Chunk boundaries are not kept — a batch feeds the session
+/// as one slice, so `FEEDS 1 2 01 1` and `FEEDS 1 1 011` are the same
+/// request.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FeedsBatch(Vec<Sym>);
+
+impl FeedsBatch {
+    /// The joined tokens.
+    pub fn tokens(&self) -> &[Sym] {
+        &self.0
+    }
+
+    /// The joined tokens as an owned buffer (a move, not a copy).
+    pub fn concat(self) -> Vec<Sym> {
+        self.0
+    }
+}
+
 fn parse_u64(what: &str, raw: Option<&str>) -> Result<u64, String> {
     raw.and_then(|v| v.parse().ok())
         .ok_or_else(|| format!("bad {what}"))
 }
 
+const BAD_WORD: &str = "bad word (expected 0/1/# tokens)";
+
+/// A line's whitespace-separated fields, exactly as
+/// [`str::split_whitespace`] yields them, with the unread rest of the
+/// line at hand for the `FEEDS` body.
+struct Fields<'a>(&'a str);
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0.trim_start();
+        let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+        let (field, rest) = rest.split_at(end);
+        self.0 = rest;
+        (!field.is_empty()).then_some(field)
+    }
+}
+
+/// Byte length of the separator at `body[i..]`, or 0 if none starts
+/// there. A separator is one whitespace character as
+/// [`char::is_whitespace`] defines it — the rule
+/// [`str::split_whitespace`] splits on — so ASCII bytes decide alone and
+/// only a non-ASCII byte decodes its character. `i` is a char boundary.
+fn separator_len(body: &str, i: usize) -> usize {
+    match body.as_bytes()[i] {
+        b'\t'..=b'\r' | b' ' => 1,
+        b if b.is_ascii() => 0,
+        _ => body[i..]
+            .chars()
+            .next()
+            .filter(|c| c.is_whitespace())
+            .map_or(0, char::len_utf8),
+    }
+}
+
+/// The symbol each byte spells: `0`, `1` and `#` decode, no other byte
+/// does. A table, not a `match`, so random bits cost no mispredicted
+/// branches.
+const SYM_OF_BYTE: [Option<Sym>; 256] = {
+    let mut table = [None; 256];
+    table[b'0' as usize] = Some(Sym::Zero);
+    table[b'1' as usize] = Some(Sym::One);
+    table[b'#' as usize] = Some(Sym::Hash);
+    table
+};
+
+/// Parses the body of a `FEEDS` line — everything after its count — in
+/// one pass over the bytes into one token buffer. Exactly `declared`
+/// chunks must be present. The buffer is sized by the bytes that
+/// arrived, never by `declared`, so a hostile count costs nothing.
+/// Errors match a field-by-field parse: the first chunk that is not
+/// pure `0`/`1`/`#` is a bad word, a chunk past the count is a trailing
+/// field, and a short batch is truncated.
+fn parse_feeds_body(body: &str, declared: u64) -> Result<Vec<Sym>, String> {
+    let bytes = body.as_bytes();
+    let mut tokens = Vec::with_capacity(bytes.len());
+    let mut got = 0u64;
+    let mut i = 0;
+    loop {
+        while i < bytes.len() {
+            match separator_len(body, i) {
+                0 => break,
+                width => i += width,
+            }
+        }
+        if i == bytes.len() {
+            break;
+        }
+        if got == declared {
+            return Err("trailing fields after FEEDS".to_string());
+        }
+        got += 1;
+        let start = tokens.len();
+        tokens.extend(
+            bytes[i..]
+                .iter()
+                .map_while(|&b| SYM_OF_BYTE[usize::from(b)]),
+        );
+        i += tokens.len() - start;
+        if i < bytes.len() && separator_len(body, i) == 0 {
+            return Err(BAD_WORD.to_string());
+        }
+    }
+    if got < declared {
+        return Err(format!(
+            "truncated FEEDS batch: declared {declared}, got {got}"
+        ));
+    }
+    Ok(tokens)
+}
+
 /// Parses one request line. Errors are protocol-level messages suitable
 /// for an `ERR` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut parts = line.split_whitespace();
+    let mut parts = Fields(line);
     let verb = parts.next().ok_or_else(|| "empty request".to_string())?;
     let req = match verb {
         "OPEN" => {
@@ -95,29 +210,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let word = parts
                 .next()
                 .and_then(oqsc_lang::token::from_str)
-                .ok_or_else(|| "bad word (expected 0/1/# tokens)".to_string())?;
+                .ok_or_else(|| BAD_WORD.to_string())?;
             Request::Feed { id, word }
         }
         "FEEDS" => {
             let id = parse_u64("id", parts.next())?;
             let n = parse_u64("count", parts.next())?;
-            // Pull exactly `n` chunks off the line. The vector grows by
-            // what actually arrives, never by the declared count, so a
-            // hostile `n` costs nothing but this loop's first miss.
-            let mut words = Vec::new();
-            for _ in 0..n {
-                let word = parts
-                    .next()
-                    .ok_or_else(|| {
-                        format!("truncated FEEDS batch: declared {n}, got {}", words.len())
-                    })
-                    .and_then(|raw| {
-                        oqsc_lang::token::from_str(raw)
-                            .ok_or_else(|| "bad word (expected 0/1/# tokens)".to_string())
-                    })?;
-                words.push(word);
-            }
-            Request::Feeds { id, words }
+            let tokens = parse_feeds_body(parts.0, n)?;
+            return Ok(Request::Feeds {
+                id,
+                words: FeedsBatch(tokens),
+            });
         }
         "FINISH" => Request::Finish {
             id: parse_u64("id", parts.next())?,
@@ -173,8 +276,8 @@ pub fn parse_outcome_line(line: &str) -> Option<(u64, RunOutcome)> {
     ))
 }
 
-/// Renders one fleet-qualified outcome line — the worker pool's
-/// reporting protocol, reused verbatim by the distributed sweep fabric:
+/// Renders one fleet-qualified outcome line — the distributed sweep
+/// fabric's reporting protocol:
 /// `OUTCOME <fleet> <index> <accept> <bits> <qubits> <amplitudes>`.
 /// All integers, so the text round trip is exact and merged tables are
 /// byte-identical to in-process ones.
@@ -226,8 +329,8 @@ pub fn parse_fleet_outcome_line(line: &str) -> Result<(String, u64, RunOutcome),
 
 /// One parsed fabric request line (worker → coordinator).
 ///
-/// The distributed sweep fabric speaks the worker pool's line-oriented
-/// `OUTCOME` protocol, extended with lease-management verbs:
+/// The distributed sweep fabric speaks the line-oriented
+/// [`fleet_outcome_line`] protocol, extended with lease-management verbs:
 ///
 /// ```text
 /// -> LEASE <worker> <sweep> <k_max> <trials>  <- LEASE <lease> <fleet> <start> <end>
@@ -519,6 +622,8 @@ pub fn parse_stats_line(line: &str) -> Result<MuxStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn requests_parse_and_reject() {
@@ -568,7 +673,7 @@ mod tests {
             parse_request(&line),
             Ok(Request::Feeds {
                 id: 9,
-                words: chunks
+                words: FeedsBatch(chunks.concat())
             })
         );
         // An empty batch is legal (and a no-op on the session).
@@ -576,7 +681,7 @@ mod tests {
             parse_request("FEEDS 9 0"),
             Ok(Request::Feeds {
                 id: 9,
-                words: vec![]
+                words: FeedsBatch(Vec::new())
             })
         );
         for bad in [
@@ -591,6 +696,139 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    /// The `split_whitespace` parse of a `FEEDS` line that the one-pass
+    /// parser replaced, kept as the property test's reference: pull
+    /// exactly `n` fields, decode each on its own, refuse a trailing one.
+    fn reference_feeds(line: &str) -> Result<(u64, Vec<Vec<Sym>>), String> {
+        let mut parts = line.split_whitespace();
+        assert_eq!(parts.next(), Some("FEEDS"), "generated lines are FEEDS");
+        let id = parse_u64("id", parts.next())?;
+        let n = parse_u64("count", parts.next())?;
+        let mut words = Vec::new();
+        for _ in 0..n {
+            let word = parts
+                .next()
+                .ok_or_else(|| format!("truncated FEEDS batch: declared {n}, got {}", words.len()))
+                .and_then(|raw| {
+                    oqsc_lang::token::from_str(raw)
+                        .ok_or_else(|| "bad word (expected 0/1/# tokens)".to_string())
+                })?;
+            words.push(word);
+        }
+        if parts.next().is_some() {
+            return Err("trailing fields after FEEDS".to_string());
+        }
+        Ok((id, words))
+    }
+
+    /// A random `FEEDS` line: valid batches, counts off by one, huge
+    /// counts, runs of separators (empty chunks), tabs and other
+    /// whitespace, junk characters and trailing fields.
+    fn random_feeds_line(rng: &mut StdRng) -> String {
+        // The first seven are ASCII; the last two are not.
+        const SEPARATORS: [&str; 9] = [
+            " ", " ", " ", "\t", "\r", "\x0b", "\x0c", "\u{a0}", "\u{3000}",
+        ];
+        const JUNK: [char; 9] = ['2', 'x', '-', '\0', '\x1f', '\x7f', 'é', '\u{85}', '#'];
+        let separator = |rng: &mut StdRng| {
+            // Mostly one space; sometimes a run (an empty chunk between).
+            let run = if rng.gen_bool(0.8) {
+                1
+            } else {
+                rng.gen_range(2..4)
+            };
+            let ascii = rng.gen_bool(0.9);
+            (0..run)
+                .map(|_| {
+                    let pool = if ascii { 7 } else { SEPARATORS.len() };
+                    SEPARATORS[rng.gen_range(0..pool)]
+                })
+                .collect::<String>()
+        };
+        let chunks: Vec<String> = (0..rng.gen_range(0..12usize))
+            .map(|_| {
+                (0..rng.gen_range(1..10))
+                    .map(|_| ['0', '1', '#'][rng.gen_range(0..3usize)])
+                    .collect()
+            })
+            .collect();
+        let count = match rng.gen_range(0..10) {
+            0 => (chunks.len() + 1).to_string(),
+            1 => chunks.len().saturating_sub(1).to_string(),
+            2 => u64::MAX.to_string(),
+            3 => "18446744073709551616".to_string(), // one past u64::MAX
+            _ => chunks.len().to_string(),
+        };
+        let mut line = String::new();
+        if rng.gen_bool(0.2) {
+            line.push_str(&separator(rng));
+        }
+        line.push_str("FEEDS");
+        for field in [rng.gen_range(0..1000u64).to_string(), count]
+            .iter()
+            .chain(&chunks)
+        {
+            line.push_str(&separator(rng));
+            line.push_str(field);
+        }
+        if rng.gen_bool(0.15) {
+            line.push_str(&separator(rng));
+            line.push_str(["01", "x", "#"][rng.gen_range(0..3usize)]);
+        }
+        if rng.gen_bool(0.2) {
+            line.push_str(&separator(rng));
+        }
+        if rng.gen_bool(0.2) {
+            // Overwrite one character with junk (or with a separator).
+            let at = rng.gen_range(0..line.chars().count());
+            let with = if rng.gen_bool(0.8) {
+                JUNK[rng.gen_range(0..JUNK.len())].to_string()
+            } else {
+                separator(rng)
+            };
+            line = line
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i == at { with.clone() } else { c.to_string() })
+                .collect();
+        }
+        line
+    }
+
+    #[test]
+    fn one_pass_feeds_parse_agrees_with_the_field_by_field_reference() {
+        let mut rng = StdRng::seed_from_u64(0xFEED5);
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..20_000 {
+            let line = random_feeds_line(&mut rng);
+            if line.split_whitespace().next() != Some("FEEDS") {
+                continue; // junk landed on the verb
+            }
+            let got = parse_request(&line);
+            match reference_feeds(&line) {
+                Ok((id, words)) => {
+                    ok += 1;
+                    assert_eq!(
+                        got,
+                        Ok(Request::Feeds {
+                            id,
+                            words: FeedsBatch(words.concat())
+                        }),
+                        "{line:?}"
+                    );
+                }
+                Err(msg) => {
+                    err += 1;
+                    assert_eq!(got, Err(msg), "{line:?}");
+                }
+            }
+        }
+        assert!(
+            ok > 2_000 && err > 2_000,
+            "both verdicts covered: {ok} ok, {err} err"
+        );
     }
 
     #[test]

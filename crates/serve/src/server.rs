@@ -7,7 +7,8 @@
 //! connection or an unbounded allocation). This module only maps a
 //! request line to its response. A single `SHUTDOWN` request (from any
 //! connection) stops the accept loop and closes every connection at its
-//! next read poll, without signals or self-connects. Per-session
+//! next read or write poll, without signals or self-connects — a peer
+//! that never reads its responses included. Per-session
 //! ordering is the client's contract — the engine serializes operations
 //! on one id through its shard lock, and a client that wants a session's
 //! tokens in stream order must send them in order on one connection.
@@ -118,9 +119,10 @@ fn respond(engine: &MuxEngine<AnyDecider>, line: &str, done: &AtomicBool) -> Str
             Ok(position) => format!("OK {id} {position}"),
             Err(e) => format!("ERR {e}"),
         },
-        // The batched fast path: the whole batch lands on the session
-        // as one `feed_slice` call and one budget-enforcement pass.
-        Request::Feeds { id, words } => match engine.feed(id, &words.concat()) {
+        // The batched fast path: the parsed buffer lands on the session
+        // as it is, as one `feed_slice` call and one budget-enforcement
+        // pass.
+        Request::Feeds { id, words } => match engine.feed(id, words.tokens()) {
             Ok(position) => format!("OK {id} {position}"),
             Err(e) => format!("ERR {e}"),
         },

@@ -24,13 +24,20 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread::Thread;
 use std::time::Duration;
 
-/// Longest accepted request line in bytes, newline included. Generous —
-/// a maximal `FEEDS` line is a few KiB — but a hard wall against
-/// hostile clients.
+/// Longest accepted request line in bytes, newline included. A whole
+/// k = 4 word sent as one `FEEDS` line of 8-token chunks takes 13 896 B;
+/// a k = 5 word takes 110 720 B, over the cap, so it must span several
+/// `FEEDS` lines. The cap is a hard wall against hostile clients.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// How often a blocked connection read wakes to check the stop flag.
-const READ_POLL: Duration = Duration::from_millis(50);
+/// How often a blocked connection read or write wakes to check the stop
+/// flag.
+const IO_POLL: Duration = Duration::from_millis(50);
+
+/// Responses to requests that are already buffered are held in one
+/// output buffer and written together; the buffer is written early once
+/// it reaches this many bytes.
+const OUT_BUFFER_BYTES: usize = 64 * 1024;
 
 /// The accept loop's first pause when no connection is waiting, or
 /// after a transient accept error (EMFILE, ECONNABORTED). Every
@@ -159,10 +166,18 @@ impl Stream {
         }
     }
 
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
+    /// Sets the read and the write timeout of the socket (shared by
+    /// every clone of it).
+    fn set_timeouts(&self, dur: Duration) -> std::io::Result<()> {
         match self {
-            Stream::Unix(s) => s.set_read_timeout(Some(dur)),
-            Stream::Tcp(s) => s.set_read_timeout(Some(dur)),
+            Stream::Unix(s) => {
+                s.set_read_timeout(Some(dur))?;
+                s.set_write_timeout(Some(dur))
+            }
+            Stream::Tcp(s) => {
+                s.set_read_timeout(Some(dur))?;
+                s.set_write_timeout(Some(dur))
+            }
         }
     }
 }
@@ -256,7 +271,8 @@ fn discard_line<R: BufRead>(reader: &mut R) -> std::io::Result<bool> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OnStop {
     /// Close each connection after its next response or at its next
-    /// read poll, so one `SHUTDOWN` stops the whole endpoint.
+    /// read or write poll, so one `SHUTDOWN` stops the whole endpoint,
+    /// even with a peer that never reads.
     Close,
     /// Keep serving each connection until its peer hangs up — the fabric
     /// coordinator's workers still receive `FINISHED`.
@@ -270,8 +286,14 @@ pub enum OnStop {
 /// Each accepted connection gets a scoped thread and a fresh handler
 /// from `connection` (per-connection state, such as the router's
 /// backend links, lives in that closure). The handler maps each
-/// non-empty request line, trimmed, to its response line; the service
-/// writes it back with one write. At most `max_connections` (at least
+/// non-empty request line, trimmed, to its response line. Responses
+/// collect in one output buffer while the connection's reader still
+/// holds a complete request line, and the buffer is written when it
+/// holds none — before any read that could block — or once it reaches
+/// 64 KiB. A lone request is answered at once, and a pipelined window
+/// costs one write. Reads and writes wake every 50 ms to check `stop`,
+/// so under [`OnStop::Close`] a peer that never reads cannot hold the
+/// service open. At most `max_connections` (at least
 /// one) are served at once: later clients wait in the listen backlog. A
 /// line over [`MAX_LINE_BYTES`] or one that is not UTF-8 earns an `ERR`
 /// and the connection stays usable. A handler that panics closes only
@@ -359,27 +381,46 @@ fn serve_connection(
     stream: Stream,
     stop: &AtomicBool,
     on_stop: OnStop,
-    mut respond: impl FnMut(&str) -> String,
+    respond: impl FnMut(&str) -> String,
 ) {
     let closing = || on_stop == OnStop::Close && stop.load(Ordering::SeqCst);
-    // Blocked reads wake every READ_POLL to check `closing`; a partial
-    // line survives the wake-up in `buf`.
-    if stream.set_read_timeout(READ_POLL).is_err() {
+    // Blocked reads and writes wake every IO_POLL to check `closing`.
+    if stream.set_timeouts(IO_POLL).is_err() {
         return;
     }
-    let Ok(mut writer) = stream.try_clone() else {
+    let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(stream);
+    answer_lines(BufReader::new(stream), writer, &closing, respond);
+}
+
+/// The connection loop: answers each request line read from `reader`
+/// on `writer`, coalescing responses as [`serve_lines`] describes,
+/// until the peer hangs up, an I/O error ends it, or `closing` holds
+/// after a response or at a poll timeout. A partial line survives a
+/// timeout in `buf`, a partial write in [`write_out`]'s progress.
+fn answer_lines<R: Read, W: Write>(
+    mut reader: BufReader<R>,
+    mut writer: W,
+    closing: &impl Fn() -> bool,
+    mut respond: impl FnMut(&str) -> String,
+) {
     let mut buf = Vec::new();
+    let mut out = Vec::new();
     loop {
-        let Some(status) = poll(|| read_line_bounded(&mut reader, &mut buf), &closing) else {
+        // A complete line in the reader's buffer is read without
+        // blocking; with none left, the next read may block, so what is
+        // owed goes out first.
+        if !reader.buffer().contains(&b'\n') && !write_out(&mut writer, &mut out, closing) {
+            return;
+        }
+        let Some(status) = poll(|| read_line_bounded(&mut reader, &mut buf), closing) else {
             return;
         };
-        let mut response = match status {
+        let response = match status {
             LineStatus::Closed => return, // an unterminated partial dies with the peer
             LineStatus::Overflow => {
-                if poll(|| discard_line(&mut reader), &closing) != Some(true) {
+                if poll(|| discard_line(&mut reader), closing) != Some(true) {
                     return;
                 }
                 format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
@@ -394,20 +435,45 @@ fn serve_connection(
             },
         };
         buf.clear();
-        response.push('\n');
-        if writer.write_all(response.as_bytes()).is_err() || closing() {
+        out.extend_from_slice(response.as_bytes());
+        out.push(b'\n');
+        if closing() {
+            write_out(&mut writer, &mut out, closing);
+            return;
+        }
+        if out.len() >= OUT_BUFFER_BYTES && !write_out(&mut writer, &mut out, closing) {
             return;
         }
     }
 }
 
-/// Retries `read` through read-poll timeouts. `None` closes the
-/// connection: the read failed, or `closing` held at a timeout.
-fn poll<T>(mut read: impl FnMut() -> std::io::Result<T>, closing: &impl Fn() -> bool) -> Option<T> {
+/// Writes all of `out` through write-poll timeouts, keeping partial
+/// progress, and empties it. `false` closes the connection: a write
+/// failed, or `closing` held at a timeout.
+fn write_out(writer: &mut impl Write, out: &mut Vec<u8>, closing: &impl Fn() -> bool) -> bool {
+    let mut written = 0;
+    while written < out.len() {
+        match poll(|| writer.write(&out[written..]), closing) {
+            Some(0) | None => return false,
+            Some(n) => written += n,
+        }
+    }
+    out.clear();
+    true
+}
+
+/// Retries `io` through poll timeouts. `None` closes the connection:
+/// the call failed, or `closing` held at a timeout.
+fn poll<T>(mut io: impl FnMut() -> std::io::Result<T>, closing: &impl Fn() -> bool) -> Option<T> {
     loop {
-        match read() {
+        match io() {
             Ok(value) => return Some(value),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
                 if closing() {
                     return None;
                 }
@@ -460,16 +526,21 @@ impl LineClient {
         self.recv_line()
     }
 
-    /// Pipelines `requests`: writes them in windows of a few dozen
-    /// lines, then reads the matching responses, so `n` requests cost
-    /// ~`n / window` round trips instead of `n`. Responses come back in
-    /// request order (the protocol is strictly one line per request).
+    /// Pipelines `requests`: writes each window of a few dozen lines
+    /// with one write, then reads the matching responses, so `n`
+    /// requests cost ~`n / window` round trips instead of `n`. Responses
+    /// come back in request order (the protocol is strictly one line per
+    /// request).
     pub fn pipeline(&mut self, requests: &[String]) -> std::io::Result<Vec<String>> {
         let mut responses = Vec::with_capacity(requests.len());
+        let mut batch = String::new();
         for window in requests.chunks(PIPELINE_WINDOW) {
+            batch.clear();
             for request in window {
-                self.writer.write_all(format!("{request}\n").as_bytes())?;
+                batch.push_str(request);
+                batch.push('\n');
             }
+            self.writer.write_all(batch.as_bytes())?;
             self.writer.flush()?;
             for _ in window {
                 responses.push(self.recv_line()?);
@@ -531,6 +602,147 @@ mod tests {
             LineStatus::Line
         );
         assert_eq!(buf, b"TAIL");
+    }
+
+    /// A shared log of a scripted connection's reads and writes.
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<Event>>>;
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum Event {
+        Read,
+        Write(String),
+    }
+
+    /// A reader that hands out scripted chunks, one per read call.
+    struct Script(Vec<&'static [u8]>, Log);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.1.borrow_mut().push(Event::Read);
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let chunk = self.0.remove(0);
+            out[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    /// A writer that logs each write call's bytes apart. With `stall`,
+    /// every other call times out and the rest take at most 7 bytes.
+    struct Recorder {
+        log: Log,
+        stall: bool,
+        calls: usize,
+    }
+
+    impl Recorder {
+        fn new(log: &Log, stall: bool) -> Self {
+            let log = std::rc::Rc::clone(log);
+            Recorder {
+                log,
+                stall,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = match (self.stall, self.calls % 2) {
+                (false, _) => bytes.len(),
+                (true, 1) => return Err(ErrorKind::WouldBlock.into()),
+                (true, _) => bytes.len().min(7),
+            };
+            let text = String::from_utf8(bytes[..n].to_vec()).expect("utf-8");
+            self.log.borrow_mut().push(Event::Write(text));
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn writes(log: &Log) -> Vec<String> {
+        log.borrow()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Write(text) => Some(text.clone()),
+                Event::Read => None,
+            })
+            .collect()
+    }
+
+    fn echo(request: &str) -> String {
+        format!("R {request}")
+    }
+
+    #[test]
+    fn a_pipelined_window_is_answered_with_one_write() {
+        let requests: String = (0..64).map(|i| format!("FEED {i} 0101\n")).collect();
+        let log = Log::default();
+        let reader = BufReader::new(Cursor::new(requests.into_bytes()));
+        answer_lines(reader, Recorder::new(&log, false), &|| false, echo);
+        let expected: String = (0..64).map(|i| format!("R FEED {i} 0101\n")).collect();
+        assert_eq!(writes(&log), [expected]);
+    }
+
+    #[test]
+    fn responses_go_out_before_a_read_that_could_block() {
+        // The first read holds two complete lines and half a third: the
+        // two answers must be written before the reader asks for more.
+        let log = Log::default();
+        let script = Script(vec![b"A\nB\nC", b"D\n"], std::rc::Rc::clone(&log));
+        answer_lines(
+            BufReader::new(script),
+            Recorder::new(&log, false),
+            &|| false,
+            echo,
+        );
+        assert_eq!(
+            *log.borrow(),
+            [
+                Event::Read,
+                Event::Write("R A\nR B\n".to_string()),
+                Event::Read,
+                Event::Write("R CD\n".to_string()),
+                Event::Read,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_full_output_buffer_is_written_early() {
+        // 3 000 two-byte requests arrive in one read; their 100-byte
+        // answers overflow the output buffer several times over.
+        let log = Log::default();
+        let reader = BufReader::new(Cursor::new(b"X\n".repeat(3000)));
+        let long = |_: &str| "y".repeat(99);
+        answer_lines(reader, Recorder::new(&log, false), &|| false, long);
+        let writes = writes(&log);
+        assert!(writes.len() > 1, "{} writes", writes.len());
+        for write in &writes[..writes.len() - 1] {
+            assert!((OUT_BUFFER_BYTES..OUT_BUFFER_BYTES + 100).contains(&write.len()));
+        }
+        assert_eq!(
+            writes.concat(),
+            format!("{}\n", "y".repeat(99)).repeat(3000)
+        );
+    }
+
+    #[test]
+    fn a_partial_write_keeps_its_progress() {
+        let log = Log::default();
+        let reader = BufReader::new(Cursor::new(b"ONE\nTWO\n".to_vec()));
+        answer_lines(reader, Recorder::new(&log, true), &|| false, echo);
+        assert_eq!(writes(&log).concat(), "R ONE\nR TWO\n");
+        // Once closing, a write that times out ends the connection.
+        let log = Log::default();
+        let reader = BufReader::new(Cursor::new(b"ONE\nTWO\n".to_vec()));
+        answer_lines(reader, Recorder::new(&log, true), &|| true, echo);
+        assert_eq!(writes(&log), Vec::<String>::new());
     }
 
     /// Sends one line on a fresh connection and returns the response
