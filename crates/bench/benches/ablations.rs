@@ -34,8 +34,8 @@ fn bench_structured_vs_strict(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bit-mode (per streamed symbol) vs block-mode (whole string at once)
-/// structured operator application.
+/// Bit-mode (streamed, one masked-window op per 64 symbols) vs
+/// block-mode (whole string at once) structured operator application.
 fn bench_bit_vs_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_vx_application");
     for k in [3u32, 5] {
@@ -49,8 +49,13 @@ fn bench_bit_vs_block(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bit", k), &x, |b, x| {
             let mut s = layout.phi();
             b.iter(|| {
-                for (i, &xi) in x.iter().enumerate() {
-                    layout.apply_vx_bit(&mut s, i, xi);
+                // As the streamer runs it: one window op per 64 bits.
+                for (w, window) in x.chunks(64).enumerate() {
+                    let mask = window
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |m, (j, &xi)| m | (u64::from(xi) << j));
+                    layout.apply_vx_window(&mut s, 64 * w, mask);
                 }
             });
         });
@@ -59,9 +64,9 @@ fn bench_bit_vs_block(c: &mut Criterion) {
 }
 
 /// Dense vs sparse backend running the identical A3 streaming pipeline
-/// (the `QuantumBackend` seam): the sparse backend pays an index per
-/// stored amplitude and a binary search per streamed point write, but
-/// stores only the support.
+/// (the `QuantumBackend` seam): the sparse backend pays a block lookup
+/// per touched block of each streamed window, but stores only the
+/// support.
 fn bench_dense_vs_sparse_backend(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let mut group = c.benchmark_group("ablation_a3_quantum_backend");

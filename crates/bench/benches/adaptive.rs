@@ -106,16 +106,18 @@ fn bench_record_densify(c: &mut Criterion) {
 }
 
 /// The oracle half of an A3 round as the streamer runs it: the `x`, `y`
-/// and `z = x` blocks bit by bit (`V_x`, `W_y`, `V_x`).
-fn a3_oracle<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
-    for (i, &xi) in x.iter().enumerate() {
-        layout.apply_vx_bit(s, i, xi);
+/// and `z = x` blocks, one window op per 64 bits (`V_x`, `W_y`, `V_x`).
+/// The strings come as their 64-bit window masks: packing them is the
+/// decider's cost, which the record's `a3_word` cells time.
+fn a3_oracle<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[u64], y: &[u64]) {
+    for (w, &mask) in x.iter().enumerate() {
+        layout.apply_vx_window(s, 64 * w, mask);
     }
-    for (i, &yi) in y.iter().enumerate() {
-        layout.apply_wx_bit(s, i, yi);
+    for (w, &mask) in y.iter().enumerate() {
+        layout.apply_wx_window(s, 64 * w, mask);
     }
-    for (i, &xi) in x.iter().enumerate() {
-        layout.apply_vx_bit(s, i, xi);
+    for (w, &mask) in x.iter().enumerate() {
+        layout.apply_vx_window(s, 64 * w, mask);
     }
 }
 
@@ -123,7 +125,7 @@ fn a3_oracle<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y:
 /// diffusion `U_k S_k U_k` in closed form. With `z = x` a round maps an
 /// A3 register to another on the same `2^{2k}` support, so the bench can
 /// keep iterating one register.
-fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[bool], y: &[bool]) {
+fn a3_round<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, x: &[u64], y: &[u64]) {
     a3_oracle(layout, s, x, y);
     layout.apply_diffusion(s);
 }
@@ -132,8 +134,8 @@ fn bench_round_on<B: QuantumBackend>(
     group: &mut BenchmarkGroup<'_>,
     name: &str,
     k: u32,
-    x: &[bool],
-    y: &[bool],
+    x: &[u64],
+    y: &[u64],
 ) {
     let layout = GroverLayout::for_k(k);
     let mut s: B = layout.phi_in();
@@ -150,8 +152,9 @@ fn bench_a3_round(c: &mut Criterion) {
     group.sample_size(10);
     for k in [4u32, 6, 8] {
         let mut rng = StdRng::seed_from_u64(0xD1FF + u64::from(k));
-        let domain = GroverLayout::for_k(k).domain();
-        let mut bits = || -> Vec<bool> { (0..domain).map(|_| rng.gen()).collect() };
+        // Uniformly random strings of `2^{2k}` bits, as window masks.
+        let windows = GroverLayout::for_k(k).domain() / 64;
+        let mut bits = || -> Vec<u64> { (0..windows).map(|_| rng.gen()).collect() };
         let (x, y) = (bits(), bits());
         bench_round_on::<StateVector>(&mut group, "dense", k, &x, &y);
         bench_round_on::<ParallelStateVector>(&mut group, "parallel", k, &x, &y);
@@ -167,8 +170,8 @@ fn bench_diffusion_on<B: QuantumBackend>(
     group: &mut BenchmarkGroup<'_>,
     name: &str,
     k: u32,
-    x: &[bool],
-    y: &[bool],
+    x: &[u64],
+    y: &[u64],
 ) {
     let layout = GroverLayout::for_k(k);
     let mut s: B = layout.phi_in();
@@ -193,8 +196,9 @@ fn bench_a3_diffusion(c: &mut Criterion) {
     group.sample_size(10);
     for k in [4u32, 6, 8] {
         let mut rng = StdRng::seed_from_u64(0xD1FF + u64::from(k));
-        let domain = GroverLayout::for_k(k).domain();
-        let mut bits = || -> Vec<bool> { (0..domain).map(|_| rng.gen()).collect() };
+        // Uniformly random strings of `2^{2k}` bits, as window masks.
+        let windows = GroverLayout::for_k(k).domain() / 64;
+        let mut bits = || -> Vec<u64> { (0..windows).map(|_| rng.gen()).collect() };
         let (x, y) = (bits(), bits());
         bench_diffusion_on::<StateVector>(&mut group, "dense", k, &x, &y);
         bench_diffusion_on::<ParallelStateVector>(&mut group, "parallel", k, &x, &y);

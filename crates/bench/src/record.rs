@@ -14,6 +14,11 @@
 //!   `checkpoint_roundtrip` timed against a log of dense A3 checkpoints,
 //!   once with payload compression off and once on
 //!   (`mode: "uncompressed" | "compressed"`; SIMD-independent);
+//! * **decider cells** — one `k = 4` member word through A2 (`a2_word`,
+//!   `mode: "fold"`) and through A3 on each backend (`a3_word`,
+//!   `mode: "dense" | "parallel" | "sparse" | "adaptive"`), fed as whole
+//!   runs the way a served `FEEDS` batch is (SIMD-independent: the work
+//!   is the fingerprint fold and the streamed window ops);
 //! * **`stores` rows** — on-disk size of real dense-backend E6/F1 sweep
 //!   stores, compressed vs uncompressed, with the shrink factor (the
 //!   store-v3 acceptance number: dense amplitude snapshots shrink well
@@ -85,13 +90,14 @@
 use crate::experiments::f1_seeds;
 use oqsc_core::separation::separation_quantum_task;
 use oqsc_core::sweep::complement_sweep_in;
-use oqsc_core::{ComplementRecognizer, GroverStreamer};
+use oqsc_core::{ComplementRecognizer, ConsistencyChecker, GroverStreamer};
 use oqsc_lang::{random_member, random_nonmember, Sym};
 use oqsc_machine::{
     BatchRunner, CheckpointStore, Checkpointable, Session, SessionCheckpoint, StreamingDecider,
 };
 use oqsc_quantum::{
-    simd, AdaptiveState, Complex, GroverLayout, QuantumBackend, SimdLevel, StateVector,
+    simd, AdaptiveState, Complex, GroverLayout, ParallelStateVector, QuantumBackend, SimdLevel,
+    SparseState, StateVector,
 };
 use oqsc_serve::{
     feeds_line, run_fleet, DeciderKind, LineClient, MuxConfig, MuxEngine, MuxStats, Router,
@@ -347,6 +353,69 @@ pub fn adaptive_densify(qubits: usize, iters: u32) -> u64 {
     let ns = elapsed_ns(t);
     std::hint::black_box(sink);
     ns
+}
+
+/// The decider cells' word: a member word at `k` (seed `0xDEC1DE`), so
+/// every A2 test passes and A3 streams all its rounds.
+fn decider_word(k: u32) -> Vec<Sym> {
+    random_member(k, &mut StdRng::seed_from_u64(0xDEC1DE)).encode()
+}
+
+/// Procedure A2 on one word, fed whole: the eight-lane fingerprint fold
+/// over every block run.
+fn a2_word(word: &[Sym], iters: u32) -> u64 {
+    let mut sink = 0u32;
+    let t = Instant::now();
+    for i in 0..iters {
+        let mut a2 = ConsistencyChecker::with_seed(u64::from(i));
+        a2.feed_all(word);
+        sink += u32::from(a2.decide());
+    }
+    let ns = elapsed_ns(t);
+    std::hint::black_box(sink);
+    ns
+}
+
+/// Procedure A3 on one word over backend `B`, fed whole, with `j` pinned
+/// to half the rounds (`j = 7` at `k = 4`; `j_seed mod 2^k` below): the
+/// streamed window ops of every block plus `j` diffusions.
+fn a3_word<B: QuantumBackend>(word: &[Sym], iters: u32) -> u64 {
+    let mut sink = 0.0f64;
+    let t = Instant::now();
+    for _ in 0..iters {
+        let mut a3 = GroverStreamer::<B>::with_j_seed_in(7, 0);
+        a3.feed_all(word);
+        sink += a3.detection_probability();
+    }
+    let ns = elapsed_ns(t);
+    std::hint::black_box(sink);
+    ns
+}
+
+/// Measures the decider cells: A2, and A3 on each backend, on one
+/// [`decider_word`] (`k = 4`; `k = 2` reduced).
+fn decider_cells(results: &mut Vec<ResultRow>, reduced: bool, target_ns: u64, samples: usize) {
+    let qubits = if reduced { 6 } else { 10 };
+    let word = decider_word(k_for(qubits));
+    results.push(ResultRow {
+        bench: "a2_word",
+        qubits,
+        mode: "fold",
+        timing: measure(|iters| a2_word(&word, iters), target_ns, samples),
+    });
+    for (mode, run) in [
+        ("dense", a3_word::<StateVector> as fn(&[Sym], u32) -> u64),
+        ("parallel", a3_word::<ParallelStateVector>),
+        ("sparse", a3_word::<SparseState>),
+        ("adaptive", a3_word::<AdaptiveState>),
+    ] {
+        results.push(ResultRow {
+            bench: "a3_word",
+            qubits,
+            mode,
+            timing: measure(|iters| run(&word, iters), target_ns, samples),
+        });
+    }
 }
 
 /// Calibrate an iteration count so one sample takes roughly `target_ns`,
@@ -851,7 +920,8 @@ fn mux_rows(reduced: bool) -> Vec<MuxRow> {
 /// Run the full suite and return the JSON record.
 ///
 /// The scalar pass runs first (under `simd::force(Some(Scalar))`), then the
-/// auto pass, then the SIMD-independent store cells and sweep-store rows;
+/// auto pass, then the SIMD-independent store and decider cells and the
+/// sweep-store rows;
 /// dispatch is restored to auto-detection before returning.
 pub fn run_record(opts: RecordOpts) -> String {
     let _guard = ForceGuard::force(None);
@@ -877,6 +947,7 @@ pub fn run_record(opts: RecordOpts) -> String {
     }
     simd::force(None);
     store_cells(&mut results, opts.reduced, target_ns, samples);
+    decider_cells(&mut results, opts.reduced, target_ns, samples);
     let stores = sweep_store_rows(opts.reduced);
     let mux = mux_rows(opts.reduced);
     let batched = mux_batched_rows(opts.reduced);
@@ -1075,6 +1146,16 @@ mod tests {
                 let cell = format!("\"bench\": \"{bench}\", \"qubits\": 6, \"mode\": \"{mode}\"");
                 assert!(json.contains(&cell), "missing {cell} in:\n{json}");
             }
+        }
+        for (bench, mode) in [
+            ("a2_word", "fold"),
+            ("a3_word", "dense"),
+            ("a3_word", "parallel"),
+            ("a3_word", "sparse"),
+            ("a3_word", "adaptive"),
+        ] {
+            let cell = format!("\"bench\": \"{bench}\", \"qubits\": 6, \"mode\": \"{mode}\"");
+            assert!(json.contains(&cell), "missing {cell} in:\n{json}");
         }
         for sweep in ["e6-dense", "f1-dense"] {
             assert!(

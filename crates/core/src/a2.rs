@@ -122,9 +122,7 @@ impl ConsistencyChecker {
         } else if step[0] == Sym::Hash {
             self.close_block();
         } else if let Some(fp) = self.fp.as_mut() {
-            for &sym in step {
-                fp.feed(sym == Sym::One);
-            }
+            fp.feed_run(step, |sym| sym == Sym::One);
         }
     }
 
@@ -172,9 +170,11 @@ impl StreamingDecider for ConsistencyChecker {
         self.remeter();
     }
 
-    /// Folds each bit run of a block into the fingerprint in one tight
-    /// loop, re-metering once per step: the metered bits are constant
-    /// once the prefix is read.
+    /// Folds each bit run of a block into the fingerprint in one call
+    /// ([`StreamingFingerprint::feed_run`]'s eight-lane fold), re-metering
+    /// once per step: the metered bits are constant once the prefix is
+    /// read. The lanes are the simulator's, not the machine's: they live
+    /// inside the call, and the metered `O(k)` state is unchanged.
     fn feed_all(&mut self, word: &[Sym]) {
         let mut rest = word;
         while !rest.is_empty() {

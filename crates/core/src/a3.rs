@@ -13,11 +13,14 @@
 //!
 //! The register is `|i⟩|h⟩|l⟩`: `2k + 2` qubits, plus `O(k)` classical
 //! bits of counters — the paper's logarithmic space bound. Each streamed
-//! bit triggers a structured update of at most four amplitudes
-//! ([`oqsc_quantum::structured`]'s bit-mode operators: an index on the
-//! dense backends, a block lookup on the sparse ones, whose lookups put a
-//! whole round at 2.5–8.2× the dense time at `k = 4, 6, 8`), so the whole
-//! simulation is linear in the input length.
+//! bit triggers a structured update of at most four amplitudes, so the
+//! whole simulation is linear in the input length. A run of bits is
+//! packed into 64-bit masks and applied one window of 64 bits per
+//! backend call ([`oqsc_quantum::structured`]'s window operators: an
+//! index per amplitude on the dense backends, one block lookup per
+//! touched block on the sparse ones; DESIGN.md §2 has a round's cost on
+//! each backend). The masks are the simulator's, not the machine's: the
+//! metered space is the counters above.
 //!
 //! Output convention (paper): measure `b` from the last qubit and output
 //! `1 − b`; so `true` (= 1) means "no intersection witnessed".
@@ -220,9 +223,10 @@ impl<B: QuantumBackend> GroverStreamer<B> {
 
     /// Consumes a run of block bits: advances `bit_idx` by the run length
     /// and applies the block's operator to the set bits only (on a clear
-    /// bit every operator is the identity). The support is recorded after
-    /// each update, so its peak matches a per-bit run; a skimmed block
-    /// costs O(1).
+    /// bit every operator is the identity), one backend window op per 64
+    /// bits with a set bit. Swaps and negations never change the support,
+    /// so recording it once per window gives the per-bit peak; a skimmed
+    /// block costs O(1).
     fn feed_bits(&mut self, bits: &[Sym]) {
         if self.k == 0 {
             return;
@@ -235,17 +239,20 @@ impl<B: QuantumBackend> GroverStreamer<B> {
         // Bits past the domain belong to a malformed over-long block:
         // A1 rejects the word; stay safe.
         let live = bits.len().min(layout.domain().saturating_sub(first));
-        for (i, &sym) in bits[..live].iter().enumerate() {
-            if sym == Sym::One {
-                if let Some(state) = self.reg.state_mut() {
-                    match op {
-                        BitOp::Vx => layout.apply_vx_bit(state, first + i, true),
-                        BitOp::Wx => layout.apply_wx_bit(state, first + i, true),
-                        BitOp::Rx => layout.apply_rx_bit(state, first + i, true),
-                    }
-                }
-                self.reg.record();
+        for (w, window) in bits[..live].chunks(64).enumerate() {
+            let mask = crate::pack_ones(window);
+            if mask == 0 {
+                continue;
             }
+            if let Some(state) = self.reg.state_mut() {
+                let base = first + 64 * w;
+                match op {
+                    BitOp::Vx => layout.apply_vx_window(state, base, mask),
+                    BitOp::Wx => layout.apply_wx_window(state, base, mask),
+                    BitOp::Rx => layout.apply_rx_window(state, base, mask),
+                }
+            }
+            self.reg.record();
         }
     }
 

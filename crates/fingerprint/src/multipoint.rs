@@ -59,10 +59,11 @@ impl MultiPointFingerprint {
         }
     }
 
-    /// Feeds a whole slice.
+    /// Feeds a whole slice into every lane, each through the run fold
+    /// ([`StreamingFingerprint::feed_all`]).
     pub fn feed_all(&mut self, bits: &[bool]) {
-        for &b in bits {
-            self.feed(b);
+        for lane in &mut self.lanes {
+            lane.feed_all(bits);
         }
     }
 

@@ -277,10 +277,18 @@ impl QuantumBackend for AdaptiveState {
         // Permutation: support size is invariant; no settle needed.
     }
 
-    fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
+    fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize) {
         match &mut self.repr {
-            Repr::Sparse(s) => s.store_amplitudes(writes),
-            Repr::Dense(d) => d.store_amplitudes(writes),
+            Repr::Sparse(s) => s.swap_marked(base, mask, a, b),
+            Repr::Dense(d) => d.swap_marked(base, mask, a, b),
+        }
+        self.settle();
+    }
+
+    fn negate_marked(&mut self, base: usize, mask: u64, a: usize) {
+        match &mut self.repr {
+            Repr::Sparse(s) => s.negate_marked(base, mask, a),
+            Repr::Dense(d) => d.negate_marked(base, mask, a),
         }
         self.settle();
     }
@@ -379,7 +387,6 @@ impl QuantumBackend for AdaptiveState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::ONE;
 
     const EPS: f64 = 1e-10;
 
@@ -505,17 +512,19 @@ mod tests {
     #[test]
     fn wide_registers_never_densify() {
         let mut s = AdaptiveState::zero(40);
-        s.store_amplitudes(&[(1usize << 35, ONE)]);
+        s.apply_gate(&Gate::H(35));
+        s.swap_marked(0, 1, 0, 1usize << 36);
         assert!(!s.is_dense_phase());
         assert_eq!(s.support(), 2);
+        assert_eq!(s.amp(1usize << 36), s.amp(1usize << 35));
         assert!(s.support_density() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "out of range for 3 qubits")]
-    fn point_write_outside_the_register_panics() {
+    fn window_op_outside_the_register_panics() {
         let mut s = AdaptiveState::zero(3);
-        s.store_amplitudes(&[(100, Complex::real(0.5))]);
+        s.negate_marked(4, 0b1000, 1);
     }
 
     #[test]

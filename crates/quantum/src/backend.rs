@@ -18,11 +18,12 @@
 //! The trait surface is the exact op set those consumers need: state
 //! initialization, gate application (named gates, raw 2×2 unitaries,
 //! Hadamard sweeps), the structured diagonal/permutation fast paths
-//! (`phase_if`, `permute_in_place`, `store_amplitudes`) that let each
-//! streamed symbol touch only the amplitudes it changes (an index on the
-//! dense backends, a block lookup on the sparse one, whose lookups put a
-//! whole A3 round at 2.5–8.2× the dense time at `k = 4, 6, 8`; DESIGN.md
-//! §2), reflections for amplitude amplification, Grover's inversion about
+//! (`phase_if`, `permute_in_place`, and the masked-window ops
+//! `swap_marked` and `negate_marked` that let a streamed run of input
+//! bits touch only the amplitudes it changes, 64 bits per call: an index
+//! per amplitude on the dense backends, one block lookup per touched
+//! block on the sparse one; DESIGN.md §3), reflections for amplitude
+//! amplification, Grover's inversion about
 //! the mean (`invert_about_mean`: A3's diffusion `U_k S_k U_k` as one
 //! pass, summed in one order on every backend), and measurement
 //! (probabilities, sampling, collapse). Closure-typed methods keep the
@@ -157,14 +158,27 @@ pub trait QuantumBackend: Clone + std::fmt::Debug {
     /// (`V_x`, `R_x`, X/CNOT-style classical reversible maps).
     fn permute_in_place<F: Fn(usize) -> usize>(&mut self, f: F);
 
-    /// Overwrites specific amplitudes — the low-level hook behind the
-    /// streamed structured updates, which write at most four amplitudes
-    /// per bit. An index per write on the dense backends; the sparse
-    /// backend looks up the write's block and writes into it, a few
-    /// nanoseconds per write (most of a sparse A3 round, 2.5–8.2× the dense
-    /// time at `k = 4, 6, 8`; DESIGN.md §2). Callers are responsible for
-    /// keeping the state normalized.
-    fn store_amplitudes(&mut self, writes: &[(usize, Complex)]);
+    /// Swaps amplitudes across a window of 64 indices: for each set bit
+    /// `j` of `mask`, the amplitudes at `base + j + a` and `base + j + b`
+    /// trade places. A3's streamed `V_x` is two of these per 64 input
+    /// bits and `R_x` one ([`crate::GroverLayout::apply_vx_window`]). The
+    /// touched indices must be distinct: `a ≠ b`, and no pair shares an
+    /// index with another. Values move unchanged, so the support is
+    /// unchanged.
+    ///
+    /// # Panics
+    /// If a touched index lies outside the register.
+    fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize);
+
+    /// Negates amplitudes across a window of 64 indices: for each set bit
+    /// `j` of `mask`, the amplitude at `base + j + a`. A3's streamed `W_x`
+    /// is two of these per 64 input bits. The dense backends negate a
+    /// `+0.0` to `−0.0`, as writing `−a` does; the sparse backend stores
+    /// no zero but `+0.0` and leaves it so. The support is unchanged.
+    ///
+    /// # Panics
+    /// If a touched index lies outside the register.
+    fn negate_marked(&mut self, base: usize, mask: u64, a: usize);
 
     /// Householder reflection about `psi`: `|s⟩ ← (2|ψ⟩⟨ψ| − I)|s⟩`.
     fn reflect_about(&mut self, psi: &Self);
@@ -318,6 +332,33 @@ pub(crate) fn gate_kernel(gate: &Gate) -> GateKernel {
     }
 }
 
+/// The set bits of `mask`, lowest first: the window offsets a
+/// [`QuantumBackend::swap_marked`] or [`QuantumBackend::negate_marked`]
+/// call touches.
+#[inline]
+pub(crate) fn marked(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
+}
+
+/// Panics unless every index a window op with a nonzero `mask` touches at
+/// offset `off` from `base` (the largest is `base + 63 −
+/// mask.leading_zeros() + off`) lies inside an `n`-qubit register.
+#[inline]
+pub(crate) fn check_window(n: usize, base: usize, mask: u64, off: usize) {
+    let top = 63 - mask.leading_zeros() as usize;
+    let last = base.checked_add(top).and_then(|i| i.checked_add(off));
+    assert!(
+        last.is_some_and(|i| i >> n == 0),
+        "window index {base} + {top} + {off} out of range for {n} qubits"
+    );
+}
+
 /// Shared dense restore: scatters decoded entries (dense or sparse
 /// encoding) into a full amplitude vector with exact `+0.0` off the
 /// support, **without** renormalizing. Used by [`StateVector`],
@@ -413,8 +454,12 @@ impl QuantumBackend for StateVector {
         StateVector::permute_in_place(self, f)
     }
 
-    fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
-        StateVector::write_amplitudes(self, writes)
+    fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize) {
+        StateVector::swap_marked(self, base, mask, a, b)
+    }
+
+    fn negate_marked(&mut self, base: usize, mask: u64, a: usize) {
+        StateVector::negate_marked(self, base, mask, a)
     }
 
     fn reflect_about(&mut self, psi: &Self) {

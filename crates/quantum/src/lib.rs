@@ -20,9 +20,8 @@
 //!   gate application and `O(1)`-time streaming structured updates;
 //! * [`sparse`] — the support-proportional simulator for the structured
 //!   states of procedure A3 (the occupied 64-amplitude blocks, run by the
-//!   dense SIMD kernels; a streamed point write is a block lookup, and
-//!   those lookups put an A3 round at 2.5–8.2× the dense time at
-//!   `k = 4, 6, 8`, DESIGN.md §2);
+//!   dense SIMD kernels; a streamed window of 64 input bits costs one
+//!   block lookup per touched block, DESIGN.md §2);
 //! * [`par`] — **the** scoped-thread work-splitting module (every spawn in
 //!   the substrate lives here) plus the chunked floating-point summation
 //!   contract all backends' reductions follow;

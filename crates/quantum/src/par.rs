@@ -64,9 +64,13 @@ pub use crate::simd::LANES as REDUCE_LANES;
 pub const REDUCE_CHUNK: usize = 1 << 12;
 
 /// Number of worker threads the parallel backend uses by default: the
-/// machine's available parallelism (1 when it cannot be queried).
+/// machine's available parallelism (1 when it cannot be queried), read
+/// once per process. The query reads cgroup files on Linux (about 11 µs),
+/// and every parallel register, adaptive promotion and default
+/// `BatchRunner` asks for it.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Runs `f(offset, chunk)` over disjoint contiguous chunks of `data`, one

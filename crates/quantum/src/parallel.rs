@@ -190,8 +190,9 @@ impl QuantumBackend for ParallelStateVector {
 
     fn restore(snap: &StateSnapshot) -> Result<Self, SnapshotError> {
         // The thread count is an execution knob, not state: a restored
-        // register picks up the restoring host's parallelism, which is
-        // exactly what a migrated shard wants.
+        // register takes the restoring process's thread count, read once
+        // per process (`par::available_threads`), which is exactly what a
+        // migrated shard wants.
         Ok(Self::from_dense(crate::backend::restore_dense(snap)?))
     }
 
@@ -275,8 +276,13 @@ impl QuantumBackend for ParallelStateVector {
         self.inner.permute_in_place(f);
     }
 
-    fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
-        self.inner.write_amplitudes(writes);
+    fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize) {
+        // Serial: at most 64 swaps, the dense op itself.
+        self.inner.swap_marked(base, mask, a, b);
+    }
+
+    fn negate_marked(&mut self, base: usize, mask: u64, a: usize) {
+        self.inner.negate_marked(base, mask, a);
     }
 
     fn invert_about_mean(&mut self, width: usize) {

@@ -34,13 +34,18 @@
 //! blocks, as the sweeps would fill them, and leaves a run whose mean is
 //! zero on its stored blocks.
 //!
-//! Point reads and writes ([`QuantumBackend::store_amplitudes`], which the
-//! streamed `V_x`/`W_x`/`R_x` fragments use) find their block by index
-//! and address the amplitude inside it directly. A write into a missing
-//! block inserts a zero block; a write that empties a block leaves it for
-//! the next kernel to drop, so a streamed block of input never shifts the
-//! payload. The cross-backend equivalence suite pins this backend to the
-//! dense reference at fidelity `≥ 1 − 1e−9`.
+//! The masked-window ops ([`QuantumBackend::swap_marked`] and
+//! [`QuantumBackend::negate_marked`], which the streamed `V_x`/`W_x`/`R_x`
+//! updates run once per 64 input bits) look up each block a window side
+//! touches once — a side spans at most two blocks, and both sides share
+//! the one block of a register narrower than a block — and address the
+//! amplitudes inside directly. A swap that moves a nonzero amplitude into
+//! a missing block inserts a zero block first; one that empties a block
+//! leaves it for the next kernel to drop, so a streamed block of input
+//! shifts the payload only when a branch first fills. A negation leaves
+//! a stored `+0.0` as it is. Point reads find their block the same way.
+//! The cross-backend equivalence suite pins this backend to the dense
+//! reference at fidelity `≥ 1 − 1e−9`.
 
 use crate::backend::QuantumBackend;
 use crate::complex::{Complex, ONE, ZERO};
@@ -80,6 +85,42 @@ fn slot(p: usize, b: usize) -> usize {
 /// missing one.
 const ZERO_BLOCK: [Complex; BLOCK_LEN] = [ZERO; BLOCK_LEN];
 
+/// One side of a masked-window op: the indices `start + j` for `j` in
+/// `0..64`, which fall in at most two consecutive blocks.
+#[derive(Clone, Copy)]
+struct WindowSide {
+    start: usize,
+    /// Positions of the block of `start` and of the next block, `None`
+    /// where the block is not stored (or, past `reach`, not touched).
+    blocks: [Option<usize>; 2],
+    /// How many of the two blocks the window touches.
+    reach: usize,
+}
+
+impl WindowSide {
+    /// Which of the side's blocks holds `start + j`.
+    #[inline]
+    fn which(&self, j: usize) -> usize {
+        ((self.start + j) >> BLOCK_BITS) - (self.start >> BLOCK_BITS)
+    }
+
+    /// Where `start + j` is stored, or `None` when its block is missing.
+    #[inline]
+    fn slot(&self, j: usize) -> Option<usize> {
+        self.blocks[self.which(j)].map(|p| slot(p, self.start + j))
+    }
+
+    /// True when every block the window touches is stored.
+    fn complete(&self) -> bool {
+        self.blocks[..self.reach].iter().all(Option::is_some)
+    }
+
+    /// True when no block the window touches is stored: it reads zeros.
+    fn is_empty(&self) -> bool {
+        self.blocks[..self.reach].iter().all(Option::is_none)
+    }
+}
+
 /// A pure quantum state storing only the blocks of amplitudes that hold a
 /// nonzero one.
 ///
@@ -105,9 +146,9 @@ pub struct SparseState {
     amps: Vec<Complex>,
     /// Nonzero amplitudes over all blocks.
     support: usize,
-    /// A point write has emptied a block since the last kernel. Kernels
-    /// drop empty blocks; point writes leave them, so streaming never
-    /// shifts the payload.
+    /// A window swap has emptied a block since the last kernel. Kernels
+    /// drop empty blocks; window ops leave them, so streaming does not
+    /// shift the payload to drop one.
     emptied: bool,
     prune_eps: f64,
 }
@@ -321,37 +362,30 @@ impl SparseState {
         }
     }
 
-    /// A point write, pruned by the usual rule.
-    #[inline]
-    fn set(&mut self, b: usize, a: Complex) {
-        self.check_index(b);
-        let keep = a.norm_sqr() > self.prune_eps;
-        let key = b >> BLOCK_BITS;
-        let p = match self.find(key) {
-            Ok(p) => p,
-            Err(_) if !keep => return,
-            Err(p) => {
-                let len = self.block_len();
-                self.keys.insert(p, key);
-                self.counts.insert(p, 0);
-                self.amps
-                    .splice(p * len..p * len, std::iter::repeat_n(ZERO, len));
-                p
-            }
+    /// Inserts a zero block for `key` at `p`, its insertion point.
+    fn insert_zero_block(&mut self, p: usize, key: usize) {
+        let len = self.block_len();
+        self.keys.insert(p, key);
+        self.counts.insert(p, 0);
+        self.amps
+            .splice(p * len..p * len, std::iter::repeat_n(ZERO, len));
+    }
+
+    /// The blocks a window side starting at index `start` touches, for a
+    /// mask whose highest set bit is `top`: the block of `start`, and the
+    /// next one when `start + top` reaches it.
+    fn window_side(&self, start: usize, top: usize) -> WindowSide {
+        let key = start >> BLOCK_BITS;
+        let reach = 1 + ((start + top) >> BLOCK_BITS) - key;
+        let second = if reach == 2 {
+            self.find(key + 1).ok()
+        } else {
+            None
         };
-        let slot = &mut self.amps[slot(p, b)];
-        let was_stored = *slot != ZERO;
-        *slot = if keep { a } else { ZERO };
-        if keep != was_stored {
-            let count = &mut self.counts[p];
-            if keep {
-                *count += 1;
-                self.support += 1;
-            } else {
-                *count -= 1;
-                self.support -= 1;
-                self.emptied |= *count == 0;
-            }
+        WindowSide {
+            start,
+            blocks: [self.find(key).ok(), second],
+            reach,
         }
     }
 
@@ -666,9 +700,95 @@ impl QuantumBackend for SparseState {
         *self = Self::from_sorted(self.n, moved, self.prune_eps);
     }
 
-    fn store_amplitudes(&mut self, writes: &[(usize, Complex)]) {
-        for &(idx, val) in writes {
-            self.set(idx, val);
+    fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize) {
+        if mask == 0 {
+            return;
+        }
+        debug_assert_ne!(a, b, "a swap pairs two distinct offsets");
+        crate::backend::check_window(self.n, base, mask, a.max(b));
+        let top = 63 - mask.leading_zeros() as usize;
+        let (mut sa, mut sb) = (
+            self.window_side(base + a, top),
+            self.window_side(base + b, top),
+        );
+        if sa.is_empty() && sb.is_empty() {
+            // Zeros trade places with zeros (the `l` branch before the
+            // marking round).
+            return;
+        }
+        if !(sa.complete() && sb.complete()) {
+            // A nonzero amplitude moving into a missing block needs the
+            // block first; a zero moving there leaves it missing.
+            let mut new = [usize::MAX; 4];
+            let mut count = 0;
+            for j in crate::backend::marked(mask) {
+                let dst = match (sa.slot(j), sb.slot(j)) {
+                    (None, Some(i)) if self.amps[i] != ZERO => sa.start + j,
+                    (Some(i), None) if self.amps[i] != ZERO => sb.start + j,
+                    _ => continue,
+                };
+                let key = dst >> BLOCK_BITS;
+                if !new[..count].contains(&key) {
+                    new[count] = key;
+                    count += 1;
+                }
+            }
+            if count > 0 {
+                for &key in &new[..count] {
+                    if let Err(p) = self.find(key) {
+                        self.insert_zero_block(p, key);
+                    }
+                }
+                sa = self.window_side(base + a, top);
+                sb = self.window_side(base + b, top);
+            }
+        }
+        // Counts move by the nonzero amplitudes that change blocks; the
+        // support is unchanged.
+        let mut delta = [[0i32; 2]; 2];
+        for j in crate::backend::marked(mask) {
+            // Still missing: both amplitudes are zero.
+            let (Some(ia), Some(ib)) = (sa.slot(j), sb.slot(j)) else {
+                continue;
+            };
+            let (va, vb) = (self.amps[ia], self.amps[ib]);
+            self.amps[ia] = vb;
+            self.amps[ib] = va;
+            let d = i32::from(vb != ZERO) - i32::from(va != ZERO);
+            delta[0][sa.which(j)] += d;
+            delta[1][sb.which(j)] -= d;
+        }
+        for (side, delta) in [sa, sb].iter().zip(delta) {
+            for (p, d) in side.blocks.iter().zip(delta) {
+                if let Some(p) = *p {
+                    self.counts[p] = self.counts[p].wrapping_add_signed(d);
+                }
+            }
+        }
+        for side in [sa, sb] {
+            for p in side.blocks.into_iter().flatten() {
+                self.emptied |= self.counts[p] == 0;
+            }
+        }
+    }
+
+    fn negate_marked(&mut self, base: usize, mask: u64, a: usize) {
+        if mask == 0 {
+            return;
+        }
+        crate::backend::check_window(self.n, base, mask, a);
+        let side = self.window_side(base + a, 63 - mask.leading_zeros() as usize);
+        if side.is_empty() {
+            return;
+        }
+        for j in crate::backend::marked(mask) {
+            if let Some(i) = side.slot(j) {
+                // A stored zero stays `+0.0`, as the pruned write of
+                // `−0.0` leaves it.
+                if self.amps[i] != ZERO {
+                    self.amps[i] = -self.amps[i];
+                }
+            }
         }
     }
 
@@ -958,9 +1078,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range for 3 qubits")]
-    fn point_write_outside_the_register_panics() {
+    fn window_op_outside_the_register_panics() {
+        // Indices 1 + 4 + 2 = 7 fit; bit 3 reaches 3 + 4 + 2 = 9.
         let mut s = SparseState::zero(3);
-        s.store_amplitudes(&[(100, Complex::real(0.5))]);
+        s.swap_marked(1, 0b101, 2, 4);
+        s.swap_marked(1, 0b1000, 2, 4);
     }
 
     #[test]
@@ -1037,24 +1159,65 @@ mod tests {
         assert!((s.to_dense().fidelity(&orig.to_dense()) - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn store_amplitudes_prunes_zeros() {
-        let mut s = SparseState::uniform(2);
-        s.store_amplitudes(&[(0, ZERO), (3, Complex::real(0.9))]);
-        assert_eq!(s.support(), 3);
-        assert!(s.amp(0).is_approx_zero(0.0));
+    /// A random window op at offsets that keep its indices distinct and
+    /// inside an `n`-qubit register, applied to `s` and to a dense model
+    /// of the ops' semantics.
+    fn random_window_op(rng: &mut StdRng, n: usize, s: &mut SparseState, model: &mut [Complex]) {
+        let dim = 1usize << n;
+        let a = rng.gen_range(0..dim);
+        let b = (a + rng.gen_range(1..dim)) % dim;
+        let base = rng.gen_range(0..dim - a.max(b));
+        let room = (dim - a.max(b) - base).min(64);
+        let mut mask = rng.gen::<u64>() & (u64::MAX >> (64 - room));
+        let d = a.abs_diff(b);
+        if d < 64 {
+            // Drop bits whose pairs would share an index.
+            mask &= !(mask << d) & !(mask >> d);
+        }
+        if rng.gen() {
+            s.swap_marked(base, mask, a, b);
+            for j in (0..64).filter(|j| mask >> j & 1 == 1) {
+                model.swap(base + j + a, base + j + b);
+            }
+        } else {
+            s.negate_marked(base, mask, a);
+            for j in (0..64).filter(|j| mask >> j & 1 == 1) {
+                let amp = &mut model[base + j + a];
+                // The sparse backend stores zeros as `+0.0` only.
+                if *amp != ZERO {
+                    *amp = -*amp;
+                }
+            }
+        }
     }
 
-    /// Seeded sweep against a dense model of the pruning rule: point
-    /// writes (repeats, evictions, zeros on absent indices, values under
-    /// the threshold) interleaved with reads, snapshots and a kernel that
-    /// drops the blocks the writes emptied. Every read must see the
-    /// latest write.
-    fn check_point_writes(n: usize, hadamards: &[usize], seeds: u64) {
+    /// Seeded sweep against a dense model of the window ops: swaps and
+    /// negations at random bases, masks and offsets (nonzeros moving into
+    /// missing blocks, zeros moving onto stored ones, blocks left empty),
+    /// interleaved with reads, snapshots and a kernel that drops the
+    /// blocks the ops emptied. Every read must see the model. The start
+    /// is a restored snapshot with gaps and sub-threshold values.
+    fn check_window_ops(n: usize, seeds: u64) {
+        let (mut grew, mut emptied) = (false, false);
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(0x9E4D + seed);
-            let mut s = SparseState::zero(n);
-            s.apply_hadamard_all(hadamards);
+            // Blocks 0 and every other one with probability 2/5 hold
+            // values; the rest are gaps.
+            let filled: Vec<bool> = (0..(1usize << n).div_ceil(BLOCK_LEN))
+                .map(|key| key == 0 || rng.gen_range(0u8..5) < 2)
+                .collect();
+            let mut entries = Vec::new();
+            for b in (0..1usize << n).filter(|&b| filled[b >> BLOCK_BITS]) {
+                match rng.gen_range(0u8..8) {
+                    0 => entries.push((b, Complex::real(1e-20))),
+                    1 | 2 => entries.push((
+                        b,
+                        Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                    )),
+                    _ => {}
+                }
+            }
+            let mut s = SparseState::restore(&StateSnapshot::encode_sparse(n, entries)).unwrap();
             let mut model = s.scatter();
             for step in 0..200 {
                 if step % 37 == 36 {
@@ -1062,24 +1225,16 @@ mod tests {
                     // every empty block.
                     s.phase_if(|b| b % 2 == 1, -ONE);
                     for (b, a) in model.iter_mut().enumerate() {
-                        if b % 2 == 1 {
+                        if b % 2 == 1 && *a != ZERO {
                             *a *= -ONE;
                         }
                     }
                     assert!(s.counts.iter().all(|&c| c > 0));
                 } else {
-                    let b = rng.gen_range(0..1usize << n);
-                    let a = match rng.gen_range(0u8..4) {
-                        0 => ZERO,
-                        1 => Complex::real(1e-20),
-                        _ => Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
-                    };
-                    s.store_amplitudes(&[(b, a)]);
-                    model[b] = if a.norm_sqr() > SPARSE_PRUNE_EPS {
-                        a
-                    } else {
-                        ZERO
-                    };
+                    let blocks = s.keys.len();
+                    random_window_op(&mut rng, n, &mut s, &mut model);
+                    grew |= s.keys.len() > blocks;
+                    emptied |= s.emptied;
                 }
                 s.assert_support_pruned();
                 let stored: Vec<(usize, Complex)> = model
@@ -1091,20 +1246,29 @@ mod tests {
                 assert_eq!(s.entries().collect::<Vec<_>>(), stored, "seed {seed}");
                 assert_eq!(s.support(), stored.len(), "seed {seed}");
                 for (b, &a) in model.iter().enumerate() {
-                    assert_eq!(s.amp(b), a, "seed {seed}, index {b}");
+                    let x = s.amp(b);
+                    assert_eq!(
+                        (x.re.to_bits(), x.im.to_bits()),
+                        (a.re.to_bits(), a.im.to_bits()),
+                        "seed {seed}, index {b}"
+                    );
                 }
                 assert_eq!(SparseState::restore(&s.snapshot()).unwrap(), s);
             }
         }
+        if n > BLOCK_BITS {
+            assert!(grew, "no window op filled a missing block");
+            assert!(emptied, "no window op emptied a block");
+        }
     }
 
     #[test]
-    fn point_writes_read_like_stored_amplitudes() {
+    fn window_ops_read_like_a_dense_model() {
         // A register narrower than one block.
-        check_point_writes(5, &[0, 2], 20);
-        // Hadamards on both sides of the block boundary: writes land in,
-        // next to and far from the stored blocks.
-        check_point_writes(10, &[1, 5, 6, 8], 8);
+        check_window_ops(5, 20);
+        // Windows in, next to and far from the stored blocks, each side
+        // spanning one or two blocks.
+        check_window_ops(10, 8);
     }
 
     #[test]

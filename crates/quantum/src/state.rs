@@ -284,12 +284,31 @@ impl StateVector {
         }
     }
 
-    /// Overwrites specific amplitudes in place. Low-level hook used by the
-    /// streaming structured operators (crate-internal); callers are
-    /// responsible for keeping the state normalized.
-    pub(crate) fn write_amplitudes(&mut self, writes: &[(usize, Complex)]) {
-        for &(idx, val) in writes {
-            self.amps[idx] = val;
+    /// [`QuantumBackend::swap_marked`](crate::QuantumBackend::swap_marked):
+    /// swaps the amplitudes at `base + j + a` and `base + j + b` for each
+    /// set bit `j` of `mask`.
+    pub(crate) fn swap_marked(&mut self, base: usize, mask: u64, a: usize, b: usize) {
+        if mask == 0 {
+            return;
+        }
+        debug_assert_ne!(a, b, "a swap pairs two distinct offsets");
+        crate::backend::check_window(self.n, base, mask, a.max(b));
+        for j in crate::backend::marked(mask) {
+            self.amps.swap(base + j + a, base + j + b);
+        }
+    }
+
+    /// [`QuantumBackend::negate_marked`](crate::QuantumBackend::negate_marked):
+    /// negates the amplitude at `base + j + a` for each set bit `j` of
+    /// `mask`, `+0.0` to `−0.0` included.
+    pub(crate) fn negate_marked(&mut self, base: usize, mask: u64, a: usize) {
+        if mask == 0 {
+            return;
+        }
+        crate::backend::check_window(self.n, base, mask, a);
+        for j in crate::backend::marked(mask) {
+            let amp = &mut self.amps[base + j + a];
+            *amp = -*amp;
         }
     }
 

@@ -23,11 +23,14 @@
 //! Two application modes are provided:
 //!
 //! * **block mode** — the whole bit-string `x` is known; one `O(2^n)` pass;
-//! * **bit mode** — one input bit `x_i` at a time, touching only the four
-//!   amplitudes whose index part equals `i`: an index per amplitude on
-//!   the dense backends, a block lookup on the sparse one (see
-//!   [`crate::sparse`]; its lookups put a whole A3 round at 2.5–8.2× the
-//!   dense time at `k = 4, 6, 8`, DESIGN.md §2). This is what makes the
+//! * **bit mode** — input bits as they stream, each touching only the
+//!   four amplitudes whose index part equals its index `i`. A window of
+//!   up to 64 bits is one mask and one or two backend calls
+//!   ([`QuantumBackend::swap_marked`], [`QuantumBackend::negate_marked`]):
+//!   an index per amplitude on the dense backends, one block lookup per
+//!   touched block on the sparse one ([`crate::sparse`]; DESIGN.md §2
+//!   has a whole A3 round's cost on each backend). The one-bit fragments
+//!   (`apply_vx_bit`, …) are one-bit windows. This is what makes the
 //!   online simulation of procedure A3 run in time linear in the input
 //!   length.
 
@@ -177,48 +180,64 @@ impl GroverLayout {
     }
 
     // ------------------------------------------------------------------
-    // Bit-mode (streaming) operators: four amplitudes per streamed bit
+    // Bit-mode (streaming) operators: four amplitudes per streamed bit,
+    // 64 bits per backend call
     // ------------------------------------------------------------------
 
-    /// Streaming `V_x` fragment: the factor of `V_x` acting on index value
-    /// `i` with bit `x_i = xi`. Swaps the two `h` branches of the four
-    /// amplitudes whose index part is `i`.
-    pub fn apply_vx_bit<B: QuantumBackend>(&self, s: &mut B, i: usize, xi: bool) {
-        if !xi {
-            return;
-        }
-        debug_assert!(i < self.domain());
-        // Directly swap (i, h=0, l) ↔ (i, h=1, l) for l ∈ {0,1}.
-        let b00 = self.basis(i, 0, 0);
-        let b10 = self.basis(i, 1, 0);
-        let b01 = self.basis(i, 0, 1);
-        let b11 = self.basis(i, 1, 1);
-        // SAFETY of logic: distinct indices by construction.
-        let (a00, a10, a01, a11) = (s.amp(b00), s.amp(b10), s.amp(b01), s.amp(b11));
-        s.store_amplitudes(&[(b00, a10), (b10, a00), (b01, a11), (b11, a01)]);
+    /// The `h` and `h | l` offsets of an index's `(h, l)` branches, for a
+    /// window whose set bits must index the domain: past it, a bit would
+    /// address another index's branch.
+    #[inline]
+    fn branch_offsets(&self, base: usize, mask: u64) -> (usize, usize) {
+        debug_assert!(mask == 0 || base + 63 - (mask.leading_zeros() as usize) < self.domain());
+        let h = 1usize << self.h_qubit();
+        (h, h | (1usize << self.l_qubit()))
     }
 
-    /// Streaming `W_x` fragment for index `i`: negates the `h = 1` branches.
+    /// Streaming `V_x` over a window of up to 64 input bits: for each set
+    /// bit `j` of `mask` (the bit `x_{base+j} = 1`), swaps the two `h`
+    /// branches of the four amplitudes whose index part is `base + j`.
+    /// Two [`QuantumBackend::swap_marked`] calls, `h = 0 ↔ 1` at `l = 0`
+    /// and at `l = 1`.
+    pub fn apply_vx_window<B: QuantumBackend>(&self, s: &mut B, base: usize, mask: u64) {
+        let (h, hl) = self.branch_offsets(base, mask);
+        s.swap_marked(base, mask, 0, h);
+        s.swap_marked(base, mask, hl ^ h, hl);
+    }
+
+    /// Streaming `W_x` over a window: negates the `h = 1` branches of
+    /// each index `base + j` with bit `j` of `mask` set. Two
+    /// [`QuantumBackend::negate_marked`] calls.
+    pub fn apply_wx_window<B: QuantumBackend>(&self, s: &mut B, base: usize, mask: u64) {
+        let (h, hl) = self.branch_offsets(base, mask);
+        s.negate_marked(base, mask, h);
+        s.negate_marked(base, mask, hl);
+    }
+
+    /// Streaming `R_x` over a window: swaps `l` on the `h = 1` branches of
+    /// each index `base + j` with bit `j` of `mask` set. One
+    /// [`QuantumBackend::swap_marked`] call.
+    pub fn apply_rx_window<B: QuantumBackend>(&self, s: &mut B, base: usize, mask: u64) {
+        let (h, hl) = self.branch_offsets(base, mask);
+        s.swap_marked(base, mask, h, hl);
+    }
+
+    /// Streaming `V_x` fragment: the factor of `V_x` acting on index value
+    /// `i` with bit `x_i = xi` ([`Self::apply_vx_window`] on one bit).
+    pub fn apply_vx_bit<B: QuantumBackend>(&self, s: &mut B, i: usize, xi: bool) {
+        self.apply_vx_window(s, i, u64::from(xi));
+    }
+
+    /// Streaming `W_x` fragment for index `i`: negates the `h = 1` branches
+    /// ([`Self::apply_wx_window`] on one bit).
     pub fn apply_wx_bit<B: QuantumBackend>(&self, s: &mut B, i: usize, xi: bool) {
-        if !xi {
-            return;
-        }
-        let b10 = self.basis(i, 1, 0);
-        let b11 = self.basis(i, 1, 1);
-        let (a10, a11) = (s.amp(b10), s.amp(b11));
-        s.store_amplitudes(&[(b10, -a10), (b11, -a11)]);
+        self.apply_wx_window(s, i, u64::from(xi));
     }
 
     /// Streaming `R_x` fragment for index `i`: swaps `l` on the `h = 1`
-    /// branches.
+    /// branches ([`Self::apply_rx_window`] on one bit).
     pub fn apply_rx_bit<B: QuantumBackend>(&self, s: &mut B, i: usize, xi: bool) {
-        if !xi {
-            return;
-        }
-        let b10 = self.basis(i, 1, 0);
-        let b11 = self.basis(i, 1, 1);
-        let (a10, a11) = (s.amp(b10), s.amp(b11));
-        s.store_amplitudes(&[(b10, a11), (b11, a10)]);
+        self.apply_rx_window(s, i, u64::from(xi));
     }
 }
 

@@ -8,7 +8,9 @@
 //! ([`SparseState::assert_support_pruned`]) after every operation: no
 //! cancelled amplitude may silently survive in the support. The
 //! closed-form diffusion ([`QuantumBackend::invert_about_mean`]) is pinned
-//! against the gate sweeps it replaces on every backend and width.
+//! against the gate sweeps it replaces on every backend and width, and
+//! the masked-window ops (`swap_marked`, `negate_marked`) against their
+//! one-amplitude-per-bit semantics.
 
 use oqsc_quantum::{
     simd, AdaptiveState, Complex, Gate, GroverLayout, ParallelStateVector, QuantumBackend,
@@ -93,6 +95,109 @@ fn assert_equivalent(sparse: &SparseState, dense: &StateVector, context: &str) {
         fidelity >= 1.0 - FIDELITY_EPS,
         "{context}: fidelity {fidelity} below 1 - 1e-9"
     );
+}
+
+/// One masked-window op: a backend op, or one of A3's streamed operators
+/// over a window of input bits.
+#[derive(Clone, Copy, Debug)]
+enum WindowOp {
+    Swap(usize, u64, usize, usize),
+    Negate(usize, u64, usize),
+    Vx(usize, u64),
+    Wx(usize, u64),
+    Rx(usize, u64),
+}
+
+/// A random window op on the `2k + 2`-qubit A3 register: half the time a
+/// backend op at arbitrary offsets (its mask trimmed so the indices stay
+/// distinct and inside the register), half the time `V_x`, `W_x` or
+/// `R_x` over a window of the index domain.
+fn random_window_op(layout: &GroverLayout, rng: &mut StdRng) -> WindowOp {
+    let dim = 1usize << layout.num_qubits();
+    let bits = |rng: &mut StdRng, room: usize| rng.gen::<u64>() & (u64::MAX >> (64 - room.min(64)));
+    if rng.gen() {
+        let a = rng.gen_range(0..dim);
+        let b = (a + rng.gen_range(1..dim)) % dim;
+        let base = rng.gen_range(0..dim - a.max(b));
+        let mut mask = bits(rng, dim - a.max(b) - base);
+        let d = a.abs_diff(b);
+        if d < 64 {
+            mask &= !(mask << d) & !(mask >> d);
+        }
+        if rng.gen() {
+            WindowOp::Swap(base, mask, a, b)
+        } else {
+            WindowOp::Negate(base, mask, a)
+        }
+    } else {
+        let base = rng.gen_range(0..layout.domain());
+        let mask = bits(rng, layout.domain() - base);
+        match rng.gen_range(0u8..3) {
+            0 => WindowOp::Vx(base, mask),
+            1 => WindowOp::Wx(base, mask),
+            _ => WindowOp::Rx(base, mask),
+        }
+    }
+}
+
+fn apply_window_op<B: QuantumBackend>(layout: &GroverLayout, s: &mut B, op: WindowOp) {
+    match op {
+        WindowOp::Swap(base, mask, a, b) => s.swap_marked(base, mask, a, b),
+        WindowOp::Negate(base, mask, a) => s.negate_marked(base, mask, a),
+        WindowOp::Vx(base, mask) => layout.apply_vx_window(s, base, mask),
+        WindowOp::Wx(base, mask) => layout.apply_wx_window(s, base, mask),
+        WindowOp::Rx(base, mask) => layout.apply_rx_window(s, base, mask),
+    }
+}
+
+/// The per-bit semantics of `op` on a plain amplitude vector: for each set
+/// bit, one swap or negation — for A3's operators, the four-amplitude
+/// update of one streamed bit. `negate_zeros` is the dense rule (`+0.0`
+/// becomes `−0.0`); the sparse backend stores no `−0.0`.
+fn model_window_op(layout: &GroverLayout, model: &mut [Complex], op: WindowOp, negate_zeros: bool) {
+    let (h, l) = (1usize << layout.h_qubit(), 1usize << layout.l_qubit());
+    let marked = |mask: u64| (0..64).filter(move |j| mask >> j & 1 == 1);
+    let mut negate = |i: usize| {
+        if negate_zeros || model[i] != Complex::new(0.0, 0.0) {
+            model[i] = -model[i];
+        }
+    };
+    match op {
+        WindowOp::Negate(base, mask, a) => marked(mask).for_each(|j| negate(base + j + a)),
+        WindowOp::Wx(base, mask) => marked(mask).for_each(|j| {
+            negate((base + j) | h);
+            negate((base + j) | h | l);
+        }),
+        WindowOp::Swap(base, mask, a, b) => {
+            marked(mask).for_each(|j| model.swap(base + j + a, base + j + b))
+        }
+        WindowOp::Vx(base, mask) => marked(mask).for_each(|j| {
+            let i = base + j;
+            model.swap(i, i | h);
+            model.swap(i | l, i | h | l);
+        }),
+        WindowOp::Rx(base, mask) => marked(mask).for_each(|j| {
+            let i = base + j;
+            model.swap(i | h, i | h | l);
+        }),
+    }
+}
+
+/// Panics unless `got` holds `want`'s amplitudes, bit for bit or (with
+/// `signed_zeros` off) with ±0.0 identified.
+fn assert_model<B: QuantumBackend>(got: &B, want: &[Complex], signed_zeros: bool, context: &str) {
+    for (b, w) in want.iter().enumerate() {
+        let g = got.amp(b);
+        let same = if signed_zeros {
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
+        } else {
+            g.re == w.re && g.im == w.im
+        };
+        assert!(
+            same,
+            "{context}: amp {b} is {g:?}, the per-bit model gives {w:?}"
+        );
+    }
 }
 
 proptest! {
@@ -265,6 +370,70 @@ proptest! {
             let mut ad = adaptive.clone();
             ad.invert_about_mean(width);
             assert_same_digits(&ad, &d, &context);
+        }
+    }
+
+    /// The masked-window ops against their per-bit semantics on every
+    /// backend, from a random circuit state or an unnormalized snapshot
+    /// with gaps: dense matches the model bit for bit, parallel (1, 2 and
+    /// 8 workers) matches dense bit for bit, sparse and adaptive match it
+    /// digit for digit, sparse keeps its pruning invariant, and no op
+    /// changes any backend's support.
+    #[test]
+    fn prop_window_ops_match_per_bit_semantics(seed in any::<u64>(), k in 1u32..=5, from_circuit in any::<bool>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let layout = GroverLayout::for_k(k);
+        let n = layout.num_qubits();
+        let snap = if from_circuit {
+            let mut s: StateVector = layout.phi();
+            for _ in 0..20 {
+                s.apply(&random_gate(n, &mut rng));
+            }
+            s.snapshot()
+        } else {
+            let mut entries = Vec::new();
+            for b in 0..1usize << n {
+                if (b >> 6) % 3 != 1 && rng.gen_range(0u8..3) == 0 {
+                    entries.push((b, Complex::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0))));
+                }
+            }
+            StateSnapshot::encode_sparse(n, entries)
+        };
+        let mut dense = StateVector::restore(&snap).unwrap();
+        let mut pars: Vec<ParallelStateVector> = [1usize, 2, 8]
+            .iter()
+            .map(|&t| ParallelStateVector::with_threads(dense.clone(), t))
+            .collect();
+        let mut sparse = SparseState::restore(&snap).unwrap();
+        let mut adaptive = AdaptiveState::restore(&snap).unwrap();
+        let mut model: Vec<Complex> = (0..dense.dim()).map(|b| dense.amp(b)).collect();
+        let mut sparse_model: Vec<Complex> = (0..dense.dim()).map(|b| sparse.amp(b)).collect();
+        let mut adaptive_model: Vec<Complex> = (0..dense.dim()).map(|b| adaptive.amp(b)).collect();
+        let supports = (sparse.support(), adaptive.support());
+        for step in 0..30 {
+            let op = random_window_op(&layout, &mut rng);
+            let context = format!("seed {seed} k {k} step {step} {op:?}");
+            apply_window_op(&layout, &mut dense, op);
+            model_window_op(&layout, &mut model, op, true);
+            assert_model(&dense, &model, true, &context);
+            for p in &mut pars {
+                apply_window_op(&layout, p, op);
+                assert_same_bits(p.as_dense(), &dense, &format!("{context} threads {}", p.threads()));
+            }
+            apply_window_op(&layout, &mut sparse, op);
+            sparse.assert_support_pruned();
+            model_window_op(&layout, &mut sparse_model, op, false);
+            assert_model(&sparse, &sparse_model, true, &context);
+            apply_window_op(&layout, &mut adaptive, op);
+            model_window_op(&layout, &mut adaptive_model, op, adaptive.is_dense_phase());
+            assert_model(&adaptive, &adaptive_model, false, &context);
+            if !from_circuit {
+                // No sub-threshold values: every backend holds one state.
+                assert_same_digits(&sparse, &dense, &context);
+                assert_same_digits(&adaptive, &dense, &context);
+            }
+            prop_assert_eq!(dense.support(), dense.dim());
+            prop_assert_eq!((sparse.support(), adaptive.support()), supports);
         }
     }
 

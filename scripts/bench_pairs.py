@@ -13,10 +13,19 @@ first on even pairs, the change first on odd pairs. Every run's output is
 kept under DIR/runs.
 
 For each end-to-end metric it prints each side's median and quartiles,
-how many pairs the change won (by the metric's `better`), and whether the
+how many pairs the change won (by the metric's `better`), whether the
 median gap in the change's favour exceeds the parent's interquartile
-range. It then lists every metric whose change median is worse than the
-parent's by more than its `bound`.
+range, and a verdict, the first of these that holds:
+
+  gain          the change won at least 9 in 10 pairs and the median gap
+                in its favour exceeds the parent's IQR;
+  worse         the change's median is worse than the parent's by more
+                than the metric's `bound`;
+  unresolved    the parent's IQR exceeds `bound` times its median, and
+                not every change run is better than every parent run;
+  within bound  anything else.
+
+It then lists every metric whose verdict is `worse`.
 
 Exit status: 0 when every run is `correct`, 1 when any run is not (or
 printed no result), 2 when the two revisions' benchmarks differ.
@@ -45,6 +54,22 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def verdict(p, c, lower, bound):
+    """The verdict for one metric's parent runs `p` and change runs `c`."""
+    (p1, pm, p3), (_, cm, _) = quartiles(p), quartiles(c)
+    wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
+    gain = (pm - cm) if lower else (cm - pm)
+    delta = (cm - pm) / pm if pm else 0.0
+    if 10 * wins >= 9 * len(p) and gain > p3 - p1:
+        return "gain"
+    if (delta if lower else -delta) > bound:
+        return "worse"
+    separated = max(c) < min(p) if lower else min(c) > max(p)
+    if pm and (p3 - p1) / abs(pm) > bound and not separated:
+        return "unresolved"
+    return "within bound"
 
 
 def result_line(stdout):
@@ -135,7 +160,7 @@ def main():
     worse = []
     if pairs:
         print(f"{'metric':<20} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34}"
-              f" {'wins':>6} {'gap>IQR':>8} {'delta':>8}")
+              f" {'wins':>6} {'gap>IQR':>8} {'delta':>8}  verdict")
         for metric in bench["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             p = [r["metrics"][name]["value"] for r, _ in pairs]
@@ -144,10 +169,11 @@ def main():
             wins = sum((cv < pv) if lower else (cv > pv) for pv, cv in zip(p, c))
             gain = (pm - cm) if lower else (cm - pm)
             delta = (cm - pm) / pm if pm else 0.0
+            judged = verdict(p, c, lower, metric["bound"])
             print(f"{name:<20} {f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':<34}"
                   f" {f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':<34} {f'{wins}/{len(pairs)}':>6}"
-                  f" {'yes' if gain > p3 - p1 else 'no':>8} {delta:>+8.1%}")
-            if (delta if lower else -delta) > metric["bound"]:
+                  f" {'yes' if gain > p3 - p1 else 'no':>8} {delta:>+8.1%}  {judged}")
+            if judged == "worse":
                 worse.append(f"{name} ({delta:+.1%}, bound {metric['bound']:.0%})")
     print("worse than bound: " + (", ".join(worse) if worse else "none"))
     if incorrect:
